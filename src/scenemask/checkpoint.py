@@ -19,8 +19,6 @@ from .tensor import Tensor
 
 MAGIC = b"MASKHEAD1"
 
-_KNOWN_SUFFIXES = ("kernels", "bias", "weights", "logits")
-
 
 def save_checkpoint(params: ModelParams, path) -> None:
     with open(path, "wb") as f:

@@ -7,6 +7,7 @@ stderr; results (e.g. eval accuracy) go to stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -76,7 +77,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("robustness", parents=[common], help="noise robustness sweep")
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--kind", choices=["gaussian", "salt_pepper"], required=True)
-    p.add_argument("--levels", required=True, help="comma-separated noise levels")
+    p.add_argument("--levels", type=_levels, required=True, help="comma-separated noise levels")
     p.add_argument("--manifest", required=True)
     p.add_argument("--noise-seeds", type=int, default=5)
     p.add_argument("--out", required=True)
@@ -84,8 +85,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", parents=[common], help="lr x lambda sensitivity sweep")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--lrs", default="1e-4,1e-3")
-    p.add_argument("--lambdas", default="0,0.01,0.1,1.0")
+    p.add_argument("--lrs", type=_numbers, default="1e-4,1e-3")
+    p.add_argument("--lambdas", type=_numbers, default="0,0.01,0.1,1.0")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--max-epochs", type=int, default=200)
@@ -107,12 +108,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_levels(text: str) -> list:
-    levels = []
-    for token in text.split(","):
-        value = float(token)
-        levels.append(int(value) if value == int(value) else value)
-    return levels
+def _numbers(text: str) -> list:
+    """argparse type: comma-separated finite numbers."""
+    try:
+        values = [float(token) for token in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
+    return values
+
+
+def _levels(text: str) -> list:
+    """argparse type: comma-separated noise levels; whole numbers stay integers."""
+    return [int(v) if v.is_integer() else v for v in _numbers(text)]
 
 
 def _cmd_gen_data(args) -> int:
@@ -165,7 +174,7 @@ def _cmd_robustness(args) -> int:
     rows = robustness_sweep(
         args.checkpoints,
         args.kind,
-        _parse_levels(args.levels),
+        args.levels,
         manifest,
         os.path.dirname(os.path.abspath(args.manifest)),
         n_seeds=args.noise_seeds,
@@ -185,8 +194,8 @@ def _cmd_sweep(args) -> int:
         patience=args.patience,
     )
     rows = sensitivity_sweep(
-        [float(t) for t in args.lrs.split(",")],
-        [float(t) for t in args.lambdas.split(",")],
+        args.lrs,
+        args.lambdas,
         manifest,
         os.path.dirname(os.path.abspath(args.manifest)),
         template=template,

@@ -30,6 +30,7 @@ _TAG_IMAGE = 1
 _TAG_SPLIT = 2
 
 _SPLIT_FRACTIONS = (("train", 0.6), ("val", 0.2), ("test", 0.2))
+_SPLITS = tuple(name for name, _ in _SPLIT_FRACTIONS)
 
 _BASE_COLORS = (
     (208, 64, 64),
@@ -335,7 +336,16 @@ def load_manifest(path) -> DatasetManifest:
         if header != ["path", "label", "split"]:
             raise ConfigError(f"bad manifest header {header}")
         for rec in reader:
-            rows.append(ManifestRow(rec[0], int(rec[1]), rec[2]))
+            where = f"{path} line {reader.line_num}"
+            if len(rec) != 3:
+                raise ConfigError(f"{where}: expected 3 fields (path,label,split), got {len(rec)}")
+            try:
+                label = int(rec[1])
+            except ValueError:
+                raise ConfigError(f"{where}: label {rec[1]!r} is not an integer") from None
+            if rec[2] not in _SPLITS:
+                raise ConfigError(f"{where}: unknown split {rec[2]!r}, expected one of {_SPLITS}")
+            rows.append(ManifestRow(rec[0], label, rec[2]))
     return DatasetManifest(rows)
 
 

@@ -1,9 +1,9 @@
 """Attention maps, mask diagnostics, robustness and sensitivity sweeps.
 
-The attention map is gradient-weighted class activation mapping taken at the
-feature map the classifier actually pools: the post-mask map for masked
-models (so the learned gating shows up in the explanation) and the raw
-encoder output for baselines.  Sweeps emit plain CSV rows in a fixed
+The attention map is CAM in closed form, which equals Grad-CAM for a GAP +
+linear head, taken at the feature map the classifier actually pools: the
+post-mask map for masked models (so the learned gating shows up in the
+explanation) and the raw encoder output for baselines.  Sweeps emit plain CSV rows in a fixed
 (model, level, seed) order so output never depends on scheduling.
 """
 
@@ -25,11 +25,11 @@ from .data import (
     load_split_pixels,
 )
 from .errors import ConfigError
-from .masking import apply_mask, mask_from_logits
-from .model import ModelParams, encode
+from .masking import mask_from_logits
+from .model import ModelParams, forward
 from .netpbm import nearest_resize, quantize
 from .rng import derive_seed
-from .tensor import Tensor, backward, gap, linear, pick, softmax_values
+from .tensor import Tensor, softmax_values
 from .train import TrainConfig, evaluate, evaluate_pixels, train
 
 SUPPRESSED_THRESHOLD = 0.05
@@ -57,23 +57,18 @@ class RunReport:
 
 
 def grad_cam(params: ModelParams, image: Tensor, target_class: int) -> Heatmap:
-    """Class-specific attention heatmap over the pooled feature map.
+    """Class-specific attention heatmap over the pooled (d, k) feature map.
 
-    Channel weights are the spatial means of the target logit's gradient;
-    the grid is the ReLU of the weighted channel sum, normalized by its max
-    when positive.
+    The head is GAP + linear, so the channel weights (the target logit's gradient
+    at each cell) are ``head_weights[c] / (d*k)``, with no backward pass.  The grid
+    is the ReLU of the weighted channel sum, normalized by its max when positive.
     """
     if not 0 <= target_class < params.n_classes:
-        raise ValueError(f"target class {target_class} out of range")
-    if params.mask is not None:
-        tap = apply_mask(encode(params, image), mask_from_logits(params.mask))
-    else:
-        tap = encode(params, image)
-    logits = linear(gap(tap), params.head_weights, params.head_bias)
-    backward(pick(logits, target_class))
-
-    alpha = tap.grad.mean(axis=(1, 2))
-    grid = np.maximum(np.einsum("c,cij->ij", alpha, tap.data), 0.0)
+        raise ConfigError(f"target class {target_class} out of range")
+    logits, pooled, _ = forward(params, image)
+    _, d, k = pooled.shape
+    alpha = params.head_weights.data[target_class] / (d * k)
+    grid = np.maximum(np.einsum("c,cij->ij", alpha, pooled.data), 0.0)
     peak = grid.max()
     if peak > 0:
         grid = grid / peak

@@ -10,7 +10,7 @@ variants coincide exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -138,27 +138,29 @@ def encode(params: ModelParams, image: Tensor) -> Tensor:
     return x
 
 
-def predict_baseline(params: ModelParams, image: Tensor) -> Tensor:
-    """Class logits from the unmasked feature map."""
-    return linear(gap(encode(params, image)), params.head_weights, params.head_bias)
+def forward(params: ModelParams, image: Tensor):
+    """The one forward pass: encoder, mask gate (masked models only), GAP, linear head.
+
+    Returns (logits, the map GAP pools, mask node); the mask node is None for baselines."""
+    features, mask = encode(params, image), None
+    if params.mask is not None:
+        mask = mask_from_logits(params.mask)
+        features = apply_mask(features, mask)
+    return linear(gap(features), params.head_weights, params.head_bias), features, mask
+
+
+def predict(params: ModelParams, image: Tensor) -> Tensor:
+    """Variant-dispatching class logits."""
+    return forward(params, image)[0]
 
 
 def predict_masked(params: ModelParams, image: Tensor) -> Tensor:
     """Class logits with the spatial mask gating the feature map."""
-    logits, _ = predict_masked_with_features(params, image)
-    return logits
-
-
-def predict_masked_with_features(params: ModelParams, image: Tensor):
-    """Masked logits plus the post-mask feature node (for attention maps)."""
     if params.mask is None:
         raise ConfigError("model has no mask")
-    gated = apply_mask(encode(params, image), mask_from_logits(params.mask))
-    return linear(gap(gated), params.head_weights, params.head_bias), gated
+    return predict(params, image)
 
 
-def predict(params: ModelParams, image: Tensor) -> Tensor:
-    """Variant-dispatching forward pass."""
-    if params.mask is not None:
-        return predict_masked(params, image)
-    return predict_baseline(params, image)
+def predict_baseline(params: ModelParams, image: Tensor) -> Tensor:
+    """Class logits from the unmasked feature map; a masked model's mask is ignored."""
+    return predict(replace(params, mask=None), image)

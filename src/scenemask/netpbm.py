@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ShapeError
 from .tensor import Tensor
 
 
@@ -91,12 +92,17 @@ def nearest_resize(pixels: np.ndarray, size: tuple) -> np.ndarray:
     return pixels[rows][:, cols]
 
 
+def image_tensor(pixels: np.ndarray) -> Tensor:
+    """8-bit (h, w, 3) pixels as a (3, h, w) tensor scaled to [0, 1] (pixel / 255)."""
+    return Tensor(pixels.transpose(2, 0, 1).astype(np.float64) / 255.0)
+
+
 def read_image(path, resize: tuple | None = None) -> Tensor:
-    """Image as a (3, h, w) tensor scaled to [0, 1] (pixel / 255)."""
+    """Image file as a (3, h, w) tensor scaled to [0, 1]; see :func:`image_tensor`."""
     px = read_pixels(path)
     if resize is not None:
         px = nearest_resize(px, resize)
-    return Tensor(px.transpose(2, 0, 1).astype(np.float64) / 255.0)
+    return image_tensor(px)
 
 
 def quantize(values: np.ndarray) -> np.ndarray:
@@ -105,16 +111,18 @@ def quantize(values: np.ndarray) -> np.ndarray:
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:
-    h, w, c = pixels.shape
-    assert c == 3 and pixels.dtype == np.uint8
+    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
+        raise ShapeError(f"PPM needs uint8 (h, w, 3) pixels, got {pixels.dtype} {pixels.shape}")
+    h, w, _ = pixels.shape
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(pixels.tobytes())
 
 
 def write_pgm(gray: np.ndarray, path) -> None:
+    if gray.ndim != 2 or gray.dtype != np.uint8:
+        raise ShapeError(f"PGM needs uint8 (h, w) pixels, got {gray.dtype} {gray.shape}")
     h, w = gray.shape
-    assert gray.dtype == np.uint8
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % (w, h))
         f.write(gray.tobytes())

@@ -53,9 +53,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
@@ -283,16 +280,3 @@ def tsum(x: Tensor) -> Tensor:
         x.grad += g
 
     return Tensor(np.float64(x.data.sum()), (x,), _bw)
-
-
-def pick(x: Tensor, index: int) -> Tensor:
-    """Scalar element of a vector; adjoint is one-hot."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"pick needs a vector, got {x.shape}")
-    if not 0 <= index < x.shape[0]:
-        raise ValueError(f"index {index} out of range for length {x.shape[0]}")
-
-    def _bw(g):
-        x.grad[index] += float(g)
-
-    return Tensor(np.float64(x.data[index]), (x,), _bw)

@@ -21,10 +21,11 @@ import numpy as np
 
 from .data import DatasetManifest, load_split_pixels
 from .errors import ConfigError, TrainingFailure
-from .masking import apply_mask, mask_from_logits, total_loss
-from .model import EncoderConfig, ModelParams, encode, init_model_params, predict
+from .masking import total_loss
+from .model import EncoderConfig, ModelParams, forward, init_model_params, predict
+from .netpbm import image_tensor
 from .rng import SplitMix64
-from .tensor import Tensor, backward, gap, linear, softmax_cross_entropy
+from .tensor import Tensor, backward, softmax_cross_entropy
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -95,22 +96,11 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
         tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def _to_input(pixels: np.ndarray) -> Tensor:
-    return Tensor(pixels.transpose(2, 0, 1).astype(np.float64) / 255.0)
-
-
-def _sample_objective(params: ModelParams, image: Tensor, label: int, lam: float):
-    """Build the per-sample loss graph; returns (objective node, prediction loss)."""
-    if params.mask is not None:
-        mask_t = mask_from_logits(params.mask)
-        gated = apply_mask(encode(params, image), mask_t)
-        logits = linear(gap(gated), params.head_weights, params.head_bias)
-        pre = softmax_cross_entropy(logits, label)
-        breakdown = total_loss(pre, mask_t, lam)
-        return breakdown.total, pre
-    logits = linear(gap(encode(params, image)), params.head_weights, params.head_bias)
-    pre = softmax_cross_entropy(logits, label)
-    return pre, pre
+def _sample_objective(params: ModelParams, image: Tensor, label: int, lam: float) -> Tensor:
+    """Build the per-sample loss graph; returns the objective node."""
+    logits, _, mask = forward(params, image)
+    prediction_loss = softmax_cross_entropy(logits, label)
+    return prediction_loss if mask is None else total_loss(prediction_loss, mask, lam).total
 
 
 def train(
@@ -121,8 +111,8 @@ def train(
 ):
     """Train one model; returns (best-epoch ModelParams, TrainRecord)."""
     start = time.monotonic()
-    train_set = [(_to_input(px), label) for px, label in load_split_pixels(manifest, images_root, "train")]
-    val_set = [(_to_input(px), label) for px, label in load_split_pixels(manifest, images_root, "val")]
+    train_set = [(image_tensor(px), label) for px, label in load_split_pixels(manifest, images_root, "train")]
+    val_set = [(image_tensor(px), label) for px, label in load_split_pixels(manifest, images_root, "val")]
     if encoder is None:
         h, w = train_set[0][0].shape[1], train_set[0][0].shape[2]
         encoder = EncoderConfig(input_size=(h, w, 3), n_classes=manifest.n_classes)
@@ -145,7 +135,7 @@ def train(
             grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors().items()}
             for idx in batch:
                 image, label = train_set[idx]
-                objective, _ = _sample_objective(params, image, label, config.lam)
+                objective = _sample_objective(params, image, label, config.lam)
                 value = objective.item()
                 if not math.isfinite(value):
                     raise TrainingFailure(
@@ -195,7 +185,7 @@ def evaluate_pixels(params: ModelParams, pairs: list):
     n = params.n_classes
     confusion = np.zeros((n, n), dtype=np.int64)
     for pixels, label in pairs:
-        logits = predict(params, _to_input(pixels))
+        logits = predict(params, image_tensor(pixels))
         confusion[label, int(np.argmax(logits.data))] += 1
     accuracy = float(np.trace(confusion)) / len(pairs)
     return accuracy, confusion

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -17,7 +19,7 @@ from scenemask import (
     split_dataset,
 )
 from scenemask.data import cue_patch, image_layout, render_image
-from scenemask.errors import ConfigError
+from scenemask.errors import ConfigError, ShapeError
 from scenemask.netpbm import (
     NetpbmError,
     nearest_resize,
@@ -225,6 +227,35 @@ class TestNetpbm:
         path = tmp_path / "x.ppm"
         write_ppm(img, path)
         assert np.array_equal(read_pixels(path), img)
+
+    @pytest.mark.parametrize(
+        "pixels", [np.zeros((2, 2, 3)), np.zeros((2, 2, 4), np.uint8)], ids=["float64", "4-channel"]
+    )
+    def test_write_ppm_rejects_non_rgb8(self, tmp_path, pixels):
+        with pytest.raises(ShapeError):
+            write_ppm(pixels, tmp_path / "bad.ppm")
+        assert not (tmp_path / "bad.ppm").exists()
+
+    @pytest.mark.parametrize("gray", [np.zeros((2, 2)), np.zeros((2, 2, 3), np.uint8)])
+    def test_write_pgm_rejects_non_gray8(self, tmp_path, gray):
+        with pytest.raises(ShapeError):
+            write_pgm(gray, tmp_path / "bad.pgm")
+
+    def test_write_ppm_checks_survive_optimized_mode(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(write_ppm.__code__.co_filename)))
+        code = (
+            "import sys, numpy as np\n"
+            "from scenemask.errors import ShapeError\n"
+            "from scenemask.netpbm import write_ppm\n"
+            "try:\n"
+            "    write_ppm(np.zeros((2, 2, 3)), sys.argv[1])\n"
+            "except ShapeError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path / "o.ppm")], env=env)
+        assert done.returncode == 0
 
     def test_read_image_scales_to_unit(self, tmp_path):
         img = np.arange(4 * 4 * 3, dtype=np.uint8).reshape(4, 4, 3)

@@ -22,6 +22,8 @@ from scenemask import (
 from scenemask.cli import cli
 from scenemask.errors import ConfigError
 from scenemask.explain import RunReport, config_digest, write_csv
+from scenemask.model import forward
+from scenemask.tensor import backward, mul, tsum
 from scenemask.train import evaluate
 
 from conftest import random_tensor
@@ -78,6 +80,27 @@ class TestGradCam:
         b = grad_cam(baseline, image, 0)
         assert np.max(np.abs(a.grid - b.grid)) <= 1e-12
         assert a.confidence == pytest.approx(b.confidence, abs=1e-12)
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "baseline"])
+    def test_closed_form_weights_match_tape(self, masked):
+        """CAM's channel weights W[c] / (d*k) equal the spatial means of the
+        target logit's gradient at the pooled map, backpropagated by the tape."""
+        params = init_model_params(TINY_ENCODER, SplitMix64(14), masked=masked)
+        for i, b in enumerate(params.biases + [params.head_bias]):
+            b.data[...] = random_tensor(b.shape, seed=20 + i, low=-0.5, high=0.5).data
+        if masked:
+            params.mask.logits.data[...] = random_tensor((8, 8), seed=15).data
+        image = random_tensor((3, 32, 32), seed=16, low=0.0, high=1.0)
+        for c in range(params.n_classes):
+            logits, pooled, _ = forward(params, image)
+            backward(tsum(mul(logits, Tensor(np.eye(params.n_classes)[c]))))
+            tape_weights = pooled.grad.mean(axis=(1, 2))
+            closed_form = params.head_weights.data[c] / (8 * 8)
+            assert np.max(np.abs(tape_weights - closed_form)) <= 1e-12
+            grid = np.maximum(np.einsum("c,cij->ij", tape_weights, pooled.data), 0.0)
+            if grid.max() > 0:
+                grid = grid / grid.max()
+            assert np.max(np.abs(grad_cam(params, image, c).grid - grid)) <= 1e-12
 
     def test_invalid_class_rejected(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(9), masked=True)
@@ -371,6 +394,60 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    def test_out_of_range_class_is_runtime_error(self, workspace, trained, capsys):
+        code = cli(
+            [
+                "explain",
+                "--checkpoint",
+                str(trained),
+                "--image",
+                str(workspace / "data" / "img_c1_0002.ppm"),
+                "--class",
+                "7",
+                "--out",
+                str(workspace / "never.pgm"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: target class 7") and "Traceback" not in err
+        assert not (workspace / "never.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["robustness", "--checkpoints", "m.ckpt", "--kind", "gaussian", "--levels", "0,abc"],
+            ["sweep", "--lrs", "x"],
+            ["sweep", "--lambdas", "x"],
+            ["sweep", "--lrs", "1e-3,inf"],
+        ],
+        ids=["levels", "lrs", "lambdas", "non-finite"],
+    )
+    def test_malformed_number_list_is_usage_error(self, workspace, argv, capsys):
+        argv = argv + ["--manifest", str(workspace / "data" / "manifest.csv"), "--out", "x.csv"]
+        code = cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: argument --") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("foo", "expected 3 fields"),
+            ("img.ppm,one,test", "label 'one' is not an integer"),
+            ("img.ppm,1,holdout", "unknown split 'holdout'"),
+        ],
+        ids=["field-count", "label", "split"],
+    )
+    def test_malformed_manifest_row_is_runtime_error(self, tmp_path, trained, row, message, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,label,split\nimg_c0_0000.ppm,0,test\n{row}\n")
+        code = cli(["eval", "--checkpoint", str(trained), "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "line 3" in err and message in err
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self):
         assert cli(["--help"]) == 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from scenemask import Tensor, backward, conv2d, gap, linear, relu, sigmoid, softmax_cross_entropy
 from scenemask.errors import ConfigError, ShapeError
-from scenemask.tensor import add, mul, pick, scale, softmax_values, tsum
+from scenemask.tensor import add, mul, scale, softmax_values, tsum
 
 from conftest import central_difference, max_relative_error, random_tensor
 
@@ -231,10 +231,12 @@ class TestBackward:
         backward(loss)
         assert np.array_equal(detached.grad, np.zeros(3))
 
-    def test_scale_and_pick(self):
+    def test_scale(self):
         x = Tensor(np.array([2.0, -1.0, 4.0]))
-        backward(scale(pick(x, 2), 3.0))
-        assert np.array_equal(x.grad, [0.0, 0.0, 3.0])
+        y = scale(x, 3.0)
+        assert np.array_equal(y.data, [6.0, -3.0, 12.0])
+        backward(tsum(y))
+        assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
 
 
 @settings(max_examples=25, deadline=None)
