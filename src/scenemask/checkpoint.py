@@ -8,6 +8,8 @@ floats in row-major order.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -33,10 +35,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated tensor data while reading {what}")
-    return buf
+    # checked against the bytes left before reading, so a hostile declared
+    # size fails here instead of asking for a huge buffer
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise CheckpointError(f"truncated tensor data while reading {what}: {n} bytes declared")
+    return f.read(n)
 
 
 def _read_records(path) -> dict:
@@ -55,8 +58,7 @@ def _read_records(path) -> dict:
             name = _read_exact(f, name_len, "tensor name").decode("ascii")
             (rank,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {name}"))
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"dims of {name}"))
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            raw = _read_exact(f, 8 * count, name)
+            raw = _read_exact(f, 8 * math.prod(dims), name)
             tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     return tensors
 

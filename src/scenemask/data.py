@@ -16,6 +16,7 @@ the run seed by index so generation order does not matter.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -134,11 +135,6 @@ def _render_patch(color: tuple, pattern: int, size: int) -> np.ndarray:
     return np.where(sel[:, :, None], base, dark).astype(np.uint8)
 
 
-def cue_patch(spec: SceneSpec, label: int) -> np.ndarray:
-    # solid color block: the pooled color signal is what identifies the class
-    return _render_patch(class_color(label), 4, spec.cue_size)
-
-
 _DISTRACTOR_BLEND = 0.45  # pull distractor colors toward the background
 
 
@@ -146,17 +142,26 @@ def _blend_toward_gray(color: tuple, factor: float) -> tuple:
     return tuple(int(round(128 + factor * (c - 128))) for c in color)
 
 
-def distractor_pool(spec: SceneSpec) -> list:
-    """Patches available to every class: washed-out class colors with shifted
-    patterns, plus two neutral fillers.  The color overlap with the cues makes
-    them weak evidence for the wrong class."""
+@functools.lru_cache(maxsize=8)
+def _patches(n_classes: int, cue_size: int) -> tuple:
+    """Read-only (cue patch per label, distractor pool), rendered once per
+    (n_classes, cue_size) rather than once per image.
+
+    A cue is a solid color block: the pooled color signal is what identifies
+    the class.  The pool holds the patches available to every class:
+    washed-out class colors with shifted patterns, plus two neutral fillers.
+    The color overlap with the cues makes them weak evidence for the wrong
+    class."""
+    cues = [_render_patch(class_color(i), 4, cue_size) for i in range(n_classes)]
     pool = [
-        _render_patch(_blend_toward_gray(class_color(i), _DISTRACTOR_BLEND), (i + 2) % 4, spec.cue_size)
-        for i in range(spec.n_classes)
+        _render_patch(_blend_toward_gray(class_color(i), _DISTRACTOR_BLEND), (i + 2) % 4, cue_size)
+        for i in range(n_classes)
     ]
-    pool.append(_render_patch((164, 164, 164), 4, spec.cue_size))
-    pool.append(_render_patch((84, 84, 84), 2, spec.cue_size))
-    return pool
+    pool.append(_render_patch((164, 164, 164), 4, cue_size))
+    pool.append(_render_patch((84, 84, 84), 2, cue_size))
+    for patch in cues + pool:
+        patch.flags.writeable = False
+    return tuple(cues), tuple(pool)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +241,10 @@ def render_image(spec: SceneSpec, label: int, index: int):
     canvas = np.clip(128.0 + texture.reshape(h, w), 0, 255).astype(np.uint8)
     canvas = np.repeat(canvas[:, :, None], 3, axis=2)
 
-    pool = distractor_pool(spec)
+    cues, pool = _patches(spec.n_classes, spec.cue_size)
     for proto, r, c in layout.distractors:
         _paint(canvas, pool[proto], r, c)
-    _paint(canvas, cue_patch(spec, label), layout.cue_row, layout.cue_col)
+    _paint(canvas, cues[label], layout.cue_row, layout.cue_col)
     if layout.occluder is not None:
         proto, r, c = layout.occluder
         _paint(canvas, pool[proto], r, c)

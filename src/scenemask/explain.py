@@ -177,9 +177,9 @@ def sensitivity_sweep(
 def aggregate_report(accuracies: list, variant: str = "", config_digest: str = "") -> RunReport:
     """Mean, population standard deviation, and minimum over the 5 run seeds."""
     if len(accuracies) != 5:
-        raise ValueError(f"expected 5 per-seed accuracies, got {len(accuracies)}")
+        raise ConfigError(f"expected 5 per-seed accuracies, got {len(accuracies)}")
     if any(not 0.0 <= a <= 1.0 for a in accuracies):
-        raise ValueError("accuracies must lie in [0, 1]")
+        raise ConfigError("accuracies must lie in [0, 1]")
     arr = np.asarray(accuracies, dtype=np.float64)
     return RunReport(
         variant=variant,

@@ -54,23 +54,23 @@ def mask_from_logits(params: MaskParams) -> Tensor:
 
 
 def apply_mask(features: Tensor, mask: Tensor) -> Tensor:
-    """Gate a (c, d, k) feature map by a (d, k) mask shared across channels.
+    """Gate a (c[, n], d, k) feature map by a (d, k) mask shared across channels and batch.
 
-    The mask adjoint sums over channels; the feature adjoint is the usual
-    elementwise product rule.
+    The mask adjoint sums over every leading axis; the feature adjoint is the
+    usual elementwise product rule.
     """
-    if features.data.ndim != 3:
-        raise ShapeError(f"features must be rank 3, got {features.shape}")
-    if mask.data.ndim != 2 or mask.shape != features.shape[1:]:
+    if features.data.ndim not in (3, 4):
+        raise ShapeError(f"features must be (c, d, k) or (c, n, d, k), got {features.shape}")
+    if mask.data.ndim != 2 or mask.shape != features.shape[-2:]:
         raise ShapeError(
-            f"mask grid {mask.shape} does not match feature spatial grid {features.shape[1:]}"
+            f"mask grid {mask.shape} does not match feature spatial grid {features.shape[-2:]}"
         )
 
     def _bw(g):
-        features.grad += g * mask.data[None, :, :]
-        mask.grad += (g * features.data).sum(axis=0)
+        features.grad += g * mask.data
+        mask.grad += (g * features.data).reshape((-1,) + mask.shape).sum(axis=0)
 
-    return Tensor(features.data * mask.data[None, :, :], (features, mask), _bw)
+    return Tensor(features.data * mask.data, (features, mask), _bw)
 
 
 def l1_importance(mask: Tensor) -> Tensor:

@@ -126,8 +126,9 @@ def init_model_params(config: EncoderConfig, rng: SplitMix64, masked: bool) -> M
 
 
 def encode(params: ModelParams, image: Tensor) -> Tensor:
-    """Feature map (c, d, k) from a (channels, h, w) image scaled to [0, 1]."""
-    if image.data.ndim != 3 or image.shape[0] != params.kernels[0].shape[1]:
+    """Feature map (c, d, k) from a (channels, h, w) image scaled to [0, 1], or
+    (c, n, d, k) from a (channels, n, h, w) batch."""
+    if image.data.ndim not in (3, 4) or image.shape[0] != params.kernels[0].shape[1]:
         raise ConfigError(
             f"image shape {image.shape} does not match encoder input "
             f"({params.kernels[0].shape[1]} channels)"
@@ -141,7 +142,9 @@ def encode(params: ModelParams, image: Tensor) -> Tensor:
 def forward(params: ModelParams, image: Tensor):
     """The one forward pass: encoder, mask gate (masked models only), GAP, linear head.
 
-    Returns (logits, the map GAP pools, mask node); the mask node is None for baselines."""
+    ``image`` is (channels, h, w) or a batch (channels, n, h, w); logits are (k,)
+    or (k, n).  Returns (logits, the map GAP pools, mask node); the mask node is
+    None for baselines."""
     features, mask = encode(params, image), None
     if params.mask is not None:
         mask = mask_from_logits(params.mask)

@@ -93,8 +93,10 @@ def nearest_resize(pixels: np.ndarray, size: tuple) -> np.ndarray:
 
 
 def image_tensor(pixels: np.ndarray) -> Tensor:
-    """8-bit (h, w, 3) pixels as a (3, h, w) tensor scaled to [0, 1] (pixel / 255)."""
-    return Tensor(pixels.transpose(2, 0, 1).astype(np.float64) / 255.0)
+    """8-bit (h, w, 3) pixels as a (3, h, w) tensor scaled to [0, 1] (pixel / 255);
+    a stack (n, h, w, 3) becomes a (3, n, h, w) batch."""
+    channels_first = np.moveaxis(pixels, -1, 0)
+    return Tensor(np.divide(channels_first, 255.0, out=np.empty(channels_first.shape)))
 
 
 def read_image(path, resize: tuple | None = None) -> Tensor:

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -84,7 +86,7 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Integer in [0, n). Modulo reduction; bias is negligible for n << 2^64."""
         if n <= 0:
-            raise ValueError("below() needs a positive bound")
+            raise ConfigError(f"below() needs a positive bound, got {n}")
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:

@@ -4,7 +4,14 @@ The graph of :class:`Tensor` nodes built during a forward pass *is* the tape:
 each operation records its parents and an adjoint closure, and
 :func:`backward` replays them in reverse topological order, accumulating
 per-node gradients.  The tape is rebuilt on every forward pass
-(define-by-run); a node's ``grad`` always has the same shape as its value.
+(define-by-run); a node's ``grad`` always has the same shape as its value
+and is allocated on first read, so nodes that no backward pass reaches cost
+no gradient buffer.
+
+Image-shaped ops take one image as (C, H, W) or a batch as (C, N, H, W), the
+batch axis right after the channel axis: im2col's product is then already
+(c_out, N*oh*ow), so no transpose copy sits between conv blocks.  A rank-3
+input runs the same code as a batch of one.
 
 All values are 64-bit floats stored row-major (C-contiguous numpy arrays),
 which keeps finite-difference gradient checks tight and checkpoints
@@ -24,7 +31,7 @@ from .errors import ConfigError, ShapeError
 class Tensor:
     """A node on the tape: value, gradient accumulator, and adjoint closure."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "_grad", "_parents", "_backward_fn")
 
     def __init__(
         self,
@@ -36,9 +43,19 @@ class Tensor:
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self._parents = tuple(_parents)
         self._backward_fn = _backward_fn
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple:
@@ -84,7 +101,7 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        node._grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward_fn is not None:
@@ -99,14 +116,16 @@ def backward(loss: Tensor) -> None:
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with 3x3 kernels and per-channel bias.
 
-    ``x`` is (c_in, h, w), ``kernels`` (c_out, c_in, 3, 3), ``bias`` (c_out,).
+    ``x`` is (c_in, h, w) or a batch (c_in, n, h, w), ``kernels`` (c_out, c_in, 3, 3),
+    ``bias`` (c_out,); the output keeps the input's rank.
     Output spatial size is floor((h + 2*padding - 3)/stride) + 1 per axis.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv2d input must be rank 3, got {x.shape}")
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"conv2d input must be (c, h, w) or (c, n, h, w), got {x.shape}")
     if kernels.data.ndim != 4 or kernels.shape[2:] != (3, 3):
         raise ConfigError(f"kernels must be (c_out, c_in, 3, 3), got {kernels.shape}")
-    c_in, h, w = x.shape
+    xd = x.data if x.data.ndim == 4 else x.data[:, None]
+    c_in, n, h, w = xd.shape
     c_out = kernels.shape[0]
     if kernels.shape[1] != c_in:
         raise ConfigError(
@@ -121,38 +140,35 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
     if h + 2 * padding < 3 or w + 2 * padding < 3 or oh < 1 or ow < 1:
         raise ConfigError(f"non-positive conv output for input {x.shape}")
 
-    # im2col: gather the 9 kernel taps into a (c_in*9, oh*ow) matrix so the
+    # im2col: gather the 9 kernel taps into a (c_in*9, n*oh*ow) matrix so the
     # convolution and both of its adjoints are single matrix products
     if padding:
-        xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, padding : padding + h, padding : padding + w] = x.data
+        xp = np.zeros((c_in, n, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + w] = xd
     else:
-        xp = x.data
-    cols = np.empty((c_in, 3, 3, oh, ow))
+        xp = xd
+    cols = np.empty((c_in, 3, 3, n, oh, ow))
     for u in range(3):
         for v in range(3):
-            cols[:, u, v] = xp[:, u : u + stride * oh : stride, v : v + stride * ow : stride]
-    cols_mat = cols.reshape(c_in * 9, oh * ow)
+            cols[:, u, v] = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+    cols_mat = cols.reshape(c_in * 9, n * oh * ow)
     kmat = kernels.data.reshape(c_out, c_in * 9)
-    out_data = (kmat @ cols_mat).reshape(c_out, oh, ow) + bias.data[:, None, None]
+    out_data = (kmat @ cols_mat).reshape(c_out, n, oh, ow) + bias.data[:, None, None, None]
 
     def _bw(g: np.ndarray) -> None:
-        g2 = g.reshape(c_out, oh * ow)
-        bias.grad += g.sum(axis=(1, 2))
+        g2 = g.reshape(c_out, n * oh * ow)
+        bias.grad += g2.sum(axis=1)
         kernels.grad += (g2 @ cols_mat.T).reshape(kernels.data.shape)
-        taps = (kmat.T @ g2).reshape(c_in, 3, 3, oh, ow)
+        taps = (kmat.T @ g2).reshape(c_in, 3, 3, n, oh, ow)
         gxp = np.zeros_like(xp)
         for u in range(3):
             for v in range(3):
-                gxp[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += taps[
+                gxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += taps[
                     :, u, v
                 ]
-        if padding:
-            x.grad += gxp[:, padding : padding + h, padding : padding + w]
-        else:
-            x.grad += gxp
+        x.grad += gxp[:, :, padding : padding + h, padding : padding + w].reshape(x.shape)
 
-    return Tensor(out_data, (x, kernels, bias), _bw)
+    return Tensor(out_data.reshape(c_out, *x.shape[1:-2], oh, ow), (x, kernels, bias), _bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -185,30 +201,32 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
 
 
 def gap(x: Tensor) -> Tensor:
-    """Global average pooling: (c, d, k) -> (c,), mean over spatial positions."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"gap input must be rank 3, got {x.shape}")
-    _, d, k = x.shape
+    """Global average pooling over the last two (spatial) axes: (c[, n], d, k) -> (c[, n])."""
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"gap input must be (c, d, k) or (c, n, d, k), got {x.shape}")
+    d, k = x.shape[-2:]
     n = d * k
 
     def _bw(g):
-        x.grad += g[:, None, None] / n
+        x.grad += g[..., None, None] / n
 
-    return Tensor(x.data.mean(axis=(1, 2)), (x,), _bw)
+    return Tensor(x.data.mean(axis=(-2, -1)), (x,), _bw)
 
 
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map weights @ x + bias for a vector input."""
-    if x.data.ndim != 1 or weights.data.ndim != 2 or weights.shape[1] != x.shape[0]:
+    """Affine map weights @ x + bias: (c,) -> (k,), or column-wise (c, n) -> (k, n)."""
+    if x.data.ndim not in (1, 2) or weights.data.ndim != 2 or weights.shape[1] != x.shape[0]:
         raise ShapeError(f"linear mismatch: input {x.shape}, weights {weights.shape}")
     if bias.shape != (weights.shape[0],):
         raise ShapeError(f"linear bias {bias.shape} does not match weights {weights.shape}")
-    out_data = weights.data @ x.data + bias.data
+    k, c = weights.shape
+    column = (k,) + (1,) * (x.data.ndim - 1)
+    out_data = weights.data @ x.data + bias.data.reshape(column)
 
     def _bw(g):
         x.grad += weights.data.T @ g
-        weights.grad += np.outer(g, x.data)
-        bias.grad += g
+        weights.grad += g.reshape(k, -1) @ x.data.reshape(c, -1).T
+        bias.grad += g.reshape(k, -1).sum(axis=1)
 
     return Tensor(out_data, (x, weights, bias), _bw)
 
@@ -220,24 +238,34 @@ def softmax_values(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], max-subtracted for stability."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"logits must be a vector, got {logits.shape}")
-    n = logits.shape[0]
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    probs = softmax_values(logits.data)
-    m = logits.data.max()
-    lse = m + np.log(np.exp(logits.data - m).sum())
-    loss = lse - logits.data[label]
+def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
+    """-log softmax(logits)[label], max-subtracted for stability.
+
+    ``logits`` is (k,) with an int ``label``, or (k, n) with ``n`` labels; a
+    batch gives the mean over its columns.
+    """
+    if logits.data.ndim not in (1, 2):
+        raise ShapeError(f"logits must be (k,) or (k, n), got {logits.shape}")
+    # one row per sample, so each reduction runs over one contiguous row
+    rows = logits.data[None, :] if logits.data.ndim == 1 else np.ascontiguousarray(logits.data.T)
+    n, k = rows.shape
+    labels = np.atleast_1d(np.asarray(label))
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ConfigError(f"need {n} integer labels for logits {logits.shape}, got {label!r}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ConfigError(f"label {label} out of range for {k} classes")
+    m = rows.max(axis=1, keepdims=True)
+    e = np.exp(rows - m)
+    total = e.sum(axis=1, keepdims=True)
+    picked = np.arange(n), labels
+    losses = (m + np.log(total))[:, 0] - rows[picked]
 
     def _bw(g):
-        adj = probs.copy()
-        adj[label] -= 1.0
-        logits.grad += g * adj
+        adj = e / total
+        adj[picked] -= 1.0
+        logits.grad += (g / n * adj).T.reshape(logits.shape)
 
-    return Tensor(np.float64(loss), (logits,), _bw)
+    return Tensor(np.float64(losses.mean()), (logits,), _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

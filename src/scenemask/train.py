@@ -2,11 +2,11 @@
 
 One training run is strictly single-threaded and fully determined by
 (seed, config, data): the run's generator seeds parameter init and the
-per-epoch shuffles, batches accumulate mean per-sample gradients, and the
-returned parameters are those of the best-validation-loss epoch.  The early
-stopping signal is the mean per-sample prediction loss on the validation
-split (the importance penalty is excluded so baseline and masked runs are
-comparable).
+per-epoch shuffles, each mini-batch is one graph whose objective is the mean
+of the per-sample objectives, and the returned parameters are those of the
+best-validation-loss epoch.  The early stopping signal is the mean
+per-sample prediction loss on the validation split (the importance penalty
+is excluded so baseline and masked runs are comparable).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import DatasetManifest, load_split_pixels
-from .errors import ConfigError, TrainingFailure
+from .errors import ConfigError, ShapeError, TrainingFailure
 from .masking import total_loss
 from .model import EncoderConfig, ModelParams, forward, init_model_params, predict
 from .netpbm import image_tensor
@@ -30,6 +30,7 @@ from .tensor import Tensor, backward, softmax_cross_entropy
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_CHUNK = 32  # images per forward pass when classifying a whole split
 
 
 @dataclass
@@ -96,11 +97,32 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
         tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def _sample_objective(params: ModelParams, image: Tensor, label: int, lam: float) -> Tensor:
-    """Build the per-sample loss graph; returns the objective node."""
-    logits, _, mask = forward(params, image)
-    prediction_loss = softmax_cross_entropy(logits, label)
+def _batch_objective(params: ModelParams, images: Tensor, labels: np.ndarray, lam: float) -> Tensor:
+    """Build one mini-batch's loss graph: mean cross-entropy plus ``lam`` times the
+    mask's L1 term, which is the mean of the per-sample objectives."""
+    logits, _, mask = forward(params, images)
+    prediction_loss = softmax_cross_entropy(logits, labels)
     return prediction_loss if mask is None else total_loss(prediction_loss, mask, lam).total
+
+
+def _stack(pairs: list):
+    """(pixels, label) pairs as a (3, n, h, w) image array and its (n,) labels."""
+    shapes = sorted({px.shape for px, _ in pairs})
+    if len(shapes) != 1:
+        raise ShapeError(f"images of different sizes cannot share a batch: {shapes}")
+    images = image_tensor(np.stack([px for px, _ in pairs])).data
+    return images, np.array([label for _, label in pairs])
+
+
+def _logits(params: ModelParams, images: np.ndarray) -> np.ndarray:
+    """(k, n) logits of a (3, n, h, w) image array, EVAL_CHUNK images per forward pass."""
+    return np.concatenate(
+        [
+            predict(params, Tensor(images[:, start : start + EVAL_CHUNK])).data
+            for start in range(0, images.shape[1], EVAL_CHUNK)
+        ],
+        axis=1,
+    )
 
 
 def train(
@@ -111,14 +133,15 @@ def train(
 ):
     """Train one model; returns (best-epoch ModelParams, TrainRecord)."""
     start = time.monotonic()
-    train_set = [(image_tensor(px), label) for px, label in load_split_pixels(manifest, images_root, "train")]
-    val_set = [(image_tensor(px), label) for px, label in load_split_pixels(manifest, images_root, "val")]
+    train_images, train_labels = _stack(load_split_pixels(manifest, images_root, "train"))
+    val_images, val_labels = _stack(load_split_pixels(manifest, images_root, "val"))
     if encoder is None:
-        h, w = train_set[0][0].shape[1], train_set[0][0].shape[2]
+        h, w = train_images.shape[2:]
         encoder = EncoderConfig(input_size=(h, w, 3), n_classes=manifest.n_classes)
 
     rng = SplitMix64(config.seed)
     params = init_model_params(encoder, rng, masked=config.variant == "masked")
+    named = params.named_tensors()
     state = AdamState.for_params(params)
     record = TrainRecord()
 
@@ -127,40 +150,26 @@ def train(
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = list(range(len(train_set)))
+        order = list(range(len(train_labels)))
         rng.shuffle(order)
         epoch_loss = 0.0
         for batch_index, batch_start in enumerate(range(0, len(order), config.batch_size)):
             batch = order[batch_start : batch_start + config.batch_size]
-            grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors().items()}
-            for idx in batch:
-                image, label = train_set[idx]
-                objective = _sample_objective(params, image, label, config.lam)
-                value = objective.item()
-                if not math.isfinite(value):
-                    raise TrainingFailure(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                    )
-                epoch_loss += value
-                backward(objective)
-                for name, tensor in params.named_tensors().items():
-                    grads[name] += tensor.grad
-            for name in grads:
-                grads[name] /= len(batch)
-            adam_step(params, grads, state, config.learning_rate)
+            images = Tensor(np.take(train_images, batch, axis=1))
+            objective = _batch_objective(params, images, train_labels[batch], config.lam)
+            value = objective.item()
+            if not math.isfinite(value):
+                raise TrainingFailure(f"non-finite loss at epoch {epoch}, batch {batch_index}")
+            epoch_loss += value * len(batch)
+            backward(objective)
+            adam_step(params, {n: t.grad for n, t in named.items()}, state, config.learning_rate)
 
         record.train_loss.append(epoch_loss / len(order))
 
-        val_loss = 0.0
-        correct = 0
-        for image, label in val_set:
-            logits = predict(params, image)
-            val_loss += softmax_cross_entropy(logits, label).item()
-            if int(np.argmax(logits.data)) == label:
-                correct += 1
-        val_loss /= len(val_set)
+        logits = _logits(params, val_images)
+        val_loss = softmax_cross_entropy(Tensor(logits), val_labels).item()
         record.val_loss.append(val_loss)
-        record.val_acc.append(correct / len(val_set))
+        record.val_acc.append(int((logits.argmax(axis=0) == val_labels).sum()) / len(val_labels))
 
         if val_loss < best_val:
             best_val = val_loss
@@ -183,10 +192,12 @@ def evaluate_pixels(params: ModelParams, pairs: list):
     if not pairs:
         raise ConfigError("cannot evaluate an empty sample list")
     n = params.n_classes
+    images, labels = _stack(pairs)
+    if labels.min() < 0 or labels.max() >= n:
+        raise ConfigError(f"labels must lie in [0, {n}) for a {n}-class model")
+    predicted = _logits(params, images).argmax(axis=0)
     confusion = np.zeros((n, n), dtype=np.int64)
-    for pixels, label in pairs:
-        logits = predict(params, image_tensor(pixels))
-        confusion[label, int(np.argmax(logits.data))] += 1
+    np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion)) / len(pairs)
     return accuracy, confusion
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from scenemask import (
     load_manifest,
     split_dataset,
 )
-from scenemask.data import cue_patch, image_layout, render_image
+from scenemask.data import image_layout, render_image
 from scenemask.errors import ConfigError, ShapeError
 from scenemask.netpbm import (
     NetpbmError,
@@ -91,6 +92,16 @@ class TestGenerate:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_seed0_dataset_digest_is_pinned(self, tmp_path):
+        # SHA-256 of every PPM's bytes in manifest order, then manifest.csv, for
+        # the default spec at seed 0; taken before render_image cached its patches
+        manifest = generate_dataset(SceneSpec(seed=0), tmp_path)
+        digest = hashlib.sha256()
+        for row in manifest.rows:
+            digest.update((tmp_path / row.path).read_bytes())
+        digest.update((tmp_path / "manifest.csv").read_bytes())
+        assert digest.hexdigest() == "b1dcccbcd75e474f1c990e0916c95679d1709b79d30a5553d8042dbd476251c6"
 
     def test_cue_centers_distinguish_classes(self):
         spec = SceneSpec(n_classes=2, images_per_class=40, seed=13)

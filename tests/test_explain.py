@@ -224,6 +224,10 @@ class TestAggregateReport:
         with pytest.raises(ValueError):
             aggregate_report([0.9, 0.9, 0.9, 0.9, 1.1])
 
+    def test_rejection_is_declared_error(self):
+        with pytest.raises(ConfigError):
+            aggregate_report([0.9] * 4)
+
     def test_format_mirrors_result_table_row(self):
         report = RunReport(
             variant="masked",
@@ -394,6 +398,19 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    def test_oversized_checkpoint_dims_are_runtime_error(self, workspace, capsys):
+        import struct
+
+        big = workspace / "big.ckpt"
+        name = b"conv0.kernels"
+        dims = struct.pack("<5I", 4, 4_000_000_000, 4_000_000_000, 3, 3)
+        big.write_bytes(b"MASKHEAD1" + struct.pack("<I", len(name)) + name + dims + b"\x00" * 64)
+        manifest = workspace / "data" / "manifest.csv"
+        code = cli(["eval", "--checkpoint", str(big), "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: truncated tensor data") and "Traceback" not in err
 
     def test_out_of_range_class_is_runtime_error(self, workspace, trained, capsys):
         code = cli(

@@ -12,6 +12,7 @@ from scenemask import (
     predict_masked,
 )
 from scenemask.errors import ConfigError
+from scenemask.model import forward
 from scenemask.tensor import softmax_cross_entropy
 
 from conftest import central_difference, max_relative_error, random_tensor
@@ -141,6 +142,28 @@ class TestPredict:
         backward(softmax_cross_entropy(predict_masked(params, image), 1))
         (numeric,) = central_difference(value, [params.mask.logits.data])
         assert max_relative_error(params.mask.logits.grad, numeric) <= 1e-4
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_batch_equals_per_image(self, masked):
+        config, params = make_params(seed=30, masked=masked)
+        if masked:
+            logits = random_tensor(config.grid_shape, seed=31, low=-3.0, high=3.0)
+            params.mask.logits.data[...] = logits.data
+        params.head_bias.data[...] = random_tensor((4,), seed=32).data
+        images = random_tensor((3, 5, 32, 32), seed=33, low=0.0, high=1.0)
+        logits, pooled, _ = forward(params, images)
+        assert logits.shape == (4, 5) and pooled.shape == (16, 5, 8, 8)
+        for i in range(5):
+            single = forward(params, Tensor(images.data[:, i]))[0].data
+            assert np.max(np.abs(logits.data[:, i] - single)) <= 1e-12
+            assert np.argmax(logits.data[:, i]) == np.argmax(single)
+
+    def test_single_image_gives_vector_logits(self):
+        _, params = make_params(seed=34, masked=True)
+        image = random_tensor((3, 32, 32), seed=35, low=0.0, high=1.0)
+        assert forward(params, image)[0].shape == (4,)
 
 
 class TestStructuralInvariants:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemask import SplitMix64, derive_seed
+from scenemask.errors import ConfigError
 
 
 def test_vectorized_stream_matches_sequential():
@@ -55,6 +56,11 @@ def test_below_bounds():
     draws = [rng.below(7) for _ in range(1000)]
     assert min(draws) >= 0 and max(draws) <= 6
     assert len(set(draws)) == 7
+
+
+def test_below_error_is_declared():
+    with pytest.raises(ConfigError):
+        SplitMix64(0).below(-3)
 
 
 def test_below_rejects_nonpositive():

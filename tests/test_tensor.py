@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemask import Tensor, backward, conv2d, gap, linear, relu, sigmoid, softmax_cross_entropy
+from scenemask import (
+    Tensor,
+    apply_mask,
+    backward,
+    conv2d,
+    gap,
+    linear,
+    relu,
+    sigmoid,
+    softmax_cross_entropy,
+)
 from scenemask.errors import ConfigError, ShapeError
 from scenemask.tensor import add, mul, scale, softmax_values, tsum
 
@@ -237,6 +247,79 @@ class TestBackward:
         assert np.array_equal(y.data, [6.0, -3.0, 12.0])
         backward(tsum(y))
         assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
+
+
+class TestBatchAxis:
+    """Ops on a batch of N = 3: (C, N, H, W) maps, (C, N) vectors, (K, N) logits."""
+
+    @staticmethod
+    def check_gradients(build, tensors):
+        backward(build())
+        for tensor in tensors:
+            (numeric,) = central_difference(lambda: build().item(), [tensor.data])
+            assert max_relative_error(tensor.grad, numeric) <= 1e-4
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0), (2, 0)])
+    def test_conv2d_gradients(self, stride, padding):
+        x = random_tensor((2, 3, 5, 5), seed=81)
+        k = random_tensor((3, 2, 3, 3), seed=82)
+        b = random_tensor((3,), seed=83)
+        self.check_gradients(lambda: tsum(conv2d(x, k, b, stride, padding)), (x, k, b))
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0), (2, 0)])
+    def test_conv2d_batch_equals_per_image(self, stride, padding):
+        x = random_tensor((2, 3, 6, 6), seed=84)
+        k = random_tensor((4, 2, 3, 3), seed=85)
+        b = random_tensor((4,), seed=86)
+        batch = conv2d(x, k, b, stride=stride, padding=padding).data
+        for i in range(3):
+            single = conv2d(Tensor(x.data[:, i]), k, b, stride=stride, padding=padding).data
+            assert np.max(np.abs(batch[:, i] - single)) <= 1e-12
+
+    def test_apply_mask_gradients(self):
+        features = random_tensor((2, 3, 4, 4), seed=87)
+        mask = random_tensor((4, 4), seed=88, low=0.1, high=0.9)
+        self.check_gradients(lambda: tsum(apply_mask(features, mask)), (features, mask))
+
+    def test_gap_gradients(self):
+        x = random_tensor((2, 3, 4, 5), seed=89)
+        assert gap(x).shape == (2, 3)
+        self.check_gradients(lambda: tsum(gap(x)), (x,))
+
+    def test_linear_gradients(self):
+        x = random_tensor((5, 3), seed=90)
+        w = random_tensor((4, 5), seed=91)
+        b = random_tensor((4,), seed=92)
+        assert linear(x, w, b).shape == (4, 3)
+        self.check_gradients(lambda: tsum(linear(x, w, b)), (x, w, b))
+
+    def test_softmax_cross_entropy_gradients_and_mean(self):
+        logits = random_tensor((6, 3), seed=93)
+        labels = [4, 0, 5]
+        loss = softmax_cross_entropy(logits, labels).item()
+        singles = [
+            softmax_cross_entropy(Tensor(logits.data[:, i]), labels[i]).item() for i in range(3)
+        ]
+        assert loss == pytest.approx(np.mean(singles), abs=1e-12)
+        self.check_gradients(lambda: softmax_cross_entropy(logits, labels), (logits,))
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1], [0, 1, 2, 3], [0, 1, 6], [0, -1, 2], [0.0, 1.0, 2.0]]
+    )
+    def test_bad_batch_labels_are_config_errors(self, labels):
+        with pytest.raises(ConfigError):
+            softmax_cross_entropy(random_tensor((6, 3), seed=94), labels)
+
+    def test_label_out_of_range_is_config_error(self):
+        with pytest.raises(ConfigError):
+            softmax_cross_entropy(Tensor(np.zeros(3)), 3)
+
+
+def test_grad_is_allocated_on_first_read():
+    x = random_tensor((3,), seed=95)
+    y = relu(x)
+    assert y._grad is None
+    assert np.array_equal(y.grad, np.zeros(3))
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,8 +17,11 @@ from scenemask import (
     train,
     write_train_record,
 )
-from scenemask.errors import CheckpointError, ConfigError
-from scenemask.train import evaluate_pixels
+from scenemask.errors import CheckpointError, ConfigError, ShapeError
+from scenemask.model import predict
+from scenemask.netpbm import image_tensor
+from scenemask.tensor import Tensor, backward
+from scenemask.train import _batch_objective, evaluate_pixels
 
 TINY_ENCODER = EncoderConfig(input_size=(32, 32, 3), block_channels=(4, 8), n_classes=3)
 
@@ -157,6 +160,30 @@ class TestTrainLoop:
         assert float(first[1]) == record.train_loss[0]
 
 
+class TestBatchObjective:
+    @pytest.mark.parametrize("variant", ["masked", "baseline"])
+    def test_gradient_is_mean_of_per_sample_gradients(self, variant):
+        params = init_model_params(TINY_ENCODER, SplitMix64(20), masked=variant == "masked")
+        images = SplitMix64(21).uniforms(3 * 4 * 32 * 32).reshape(3, 4, 32, 32)
+        labels = np.array([0, 2, 1, 2])
+        named = params.named_tensors()
+
+        objective = _batch_objective(params, Tensor(images), labels, 0.1)
+        backward(objective)
+        batch = {n: t.grad.copy() for n, t in named.items()}
+        mean = {n: np.zeros_like(t.data) for n, t in named.items()}
+        values = []
+        for i in range(4):
+            single = _batch_objective(params, Tensor(images[:, i]), int(labels[i]), 0.1)
+            backward(single)
+            values.append(single.item())
+            for n, t in named.items():
+                mean[n] += t.grad / 4
+        assert objective.item() == pytest.approx(np.mean(values), rel=1e-12)
+        for n in named:
+            assert np.max(np.abs(batch[n] - mean[n])) <= 1e-12 * np.max(np.abs(mean[n])), n
+
+
 class TestEvaluate:
     def test_counting(self):
         # fabricate a model that predicts a fixed class via head bias
@@ -186,6 +213,31 @@ class TestEvaluate:
         pixels = np.zeros((32, 32, 3), dtype=np.uint8)
         accuracy, confusion = evaluate_pixels(params, [(pixels, 1)])
         assert confusion[1, 0] == 1
+
+    def test_confusion_equals_per_image_argmax_counts(self, tiny_dataset):
+        from scenemask.data import load_split_pixels
+
+        _, manifest, root = tiny_dataset
+        params = init_model_params(TINY_ENCODER, SplitMix64(13), masked=True)
+        pairs = load_split_pixels(manifest, root, "train") * 3  # more than one chunk
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for pixels, label in pairs:
+            expected[label, int(np.argmax(predict(params, image_tensor(pixels)).data))] += 1
+        accuracy, confusion = evaluate_pixels(params, pairs)
+        assert np.array_equal(confusion, expected)
+        assert accuracy == np.trace(expected) / len(pairs)
+
+    def test_label_outside_model_classes_rejected(self):
+        params = init_model_params(TINY_ENCODER, SplitMix64(14), masked=False)
+        pixels = np.zeros((32, 32, 3), dtype=np.uint8)
+        with pytest.raises(ConfigError):
+            evaluate_pixels(params, [(pixels, 0), (pixels, 3)])
+
+    def test_mixed_image_sizes_rejected(self):
+        params = init_model_params(TINY_ENCODER, SplitMix64(15), masked=False)
+        pairs = [(np.zeros((s, s, 3), dtype=np.uint8), 0) for s in (32, 16)]
+        with pytest.raises(ShapeError):
+            evaluate_pixels(params, pairs)
 
     def test_empty_split_rejected(self, tiny_dataset):
         _, manifest, root = tiny_dataset
