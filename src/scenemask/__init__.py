@@ -21,7 +21,7 @@ from .data import (
     save_manifest,
     split_dataset,
 )
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingFailure
+from .errors import CheckpointError, ConfigError, ScenemaskError, ShapeError, TrainingFailure
 from .explain import (
     Heatmap,
     RunReport,
@@ -49,7 +49,7 @@ from .model import (
     predict_baseline,
     predict_masked,
 )
-from .netpbm import read_image, read_pixels, write_image
+from .netpbm import read_image, read_pixels
 from .rng import SplitMix64, derive_seed
 from .tensor import (
     Tensor,

@@ -20,6 +20,7 @@ from .model import ModelParams
 from .tensor import Tensor
 
 MAGIC = b"MASKHEAD1"
+_MAX_RANK = 4  # conv kernels (c_out, c_in, 3, 3) have the highest rank
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -55,28 +56,26 @@ def _read_records(path) -> dict:
             if len(head) != 4:
                 raise CheckpointError("truncated tensor header")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "tensor name").decode("ascii")
+            try:
+                name = _read_exact(f, name_len, "tensor name").decode("ascii")
+            except UnicodeDecodeError:
+                raise CheckpointError("tensor name is not ASCII") from None
             (rank,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {name}"))
+            if rank > _MAX_RANK:
+                raise CheckpointError(f"rank {rank} of {name} exceeds {_MAX_RANK}")
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"dims of {name}"))
+            if 0 in dims:
+                raise CheckpointError(f"empty dimension in {name}: {dims}")
             raw = _read_exact(f, 8 * math.prod(dims), name)
             tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     return tensors
 
 
-def load_checkpoint(path, variant: str | None = None) -> ModelParams:
-    """Rebuild ModelParams from a checkpoint file.
-
-    ``variant`` ("baseline" or "masked"), when given, is enforced against the
-    stored tensor set; a masked checkpoint opened for baseline use fails,
-    naming the unexpected tensor.
-    """
+def load_checkpoint(path) -> ModelParams:
+    """Rebuild ModelParams from a checkpoint file; the variant follows from
+    whether it stores "mask.logits"."""
     tensors = _read_records(path)
-
     has_mask = "mask.logits" in tensors
-    if variant == "baseline" and has_mask:
-        raise CheckpointError('unexpected tensor "mask.logits" for baseline model')
-    if variant == "masked" and not has_mask:
-        raise CheckpointError('missing tensor "mask.logits" for masked model')
 
     blocks = 0
     while f"conv{blocks}.kernels" in tensors:

@@ -17,7 +17,7 @@ from .data import (
     generate_dataset,
     load_manifest,
 )
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingFailure
+from .errors import ScenemaskError
 from .explain import (
     grad_cam,
     mask_report,
@@ -25,7 +25,7 @@ from .explain import (
     sensitivity_sweep,
     write_csv,
 )
-from .netpbm import NetpbmError, read_image, write_pgm
+from .netpbm import read_image, write_pgm
 from .train import TrainConfig, evaluate, train, write_train_record
 
 
@@ -34,21 +34,19 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: `sweep --lr` must not silently mean `--lrs`
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    common.add_argument("--lr", type=float, default=1e-3)
-    common.add_argument("--noise-as-stddev", action="store_true")
-
     parser = _Parser(prog="scenemask", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen-data", parents=[common], help="generate the synthetic dataset")
+    p = sub.add_parser("gen-data", help="generate the synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n-classes", type=int, default=4)
     p.add_argument("--images-per-class", type=int, default=200)
@@ -56,11 +54,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--cue-size", type=int, default=6)
     p.add_argument("--clutter", type=int, default=5)
     p.add_argument("--occlusion-prob", type=float, default=0.3)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("train", parents=[common], help="train one model")
+    p = sub.add_parser("train", help="train one model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--variant", choices=["baseline", "masked"], default="masked")
+    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=10)
@@ -68,22 +70,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--record-out")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint on a split")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("robustness", parents=[common], help="noise robustness sweep")
+    p = sub.add_parser("robustness", help="noise robustness sweep")
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--kind", choices=["gaussian", "salt_pepper"], required=True)
     p.add_argument("--levels", type=_levels, required=True, help="comma-separated noise levels")
     p.add_argument("--manifest", required=True)
     p.add_argument("--noise-seeds", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="base seed of the noise streams")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_robustness)
 
-    p = sub.add_parser("sweep", parents=[common], help="lr x lambda sensitivity sweep")
+    p = sub.add_parser("sweep", help="lr x lambda sensitivity sweep")
     p.add_argument("--manifest", required=True)
     p.add_argument("--lrs", type=_numbers, default="1e-4,1e-3")
     p.add_argument("--lambdas", type=_numbers, default="0,0.01,0.1,1.0")
@@ -94,14 +97,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("explain", parents=[common], help="write an attention heatmap")
+    p = sub.add_parser("explain", help="write an attention heatmap")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--class", dest="target_class", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("mask-report", parents=[common], help="dump mask statistics")
+    p = sub.add_parser("mask-report", help="dump mask statistics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mask_report)
@@ -179,7 +182,6 @@ def _cmd_robustness(args) -> int:
         os.path.dirname(os.path.abspath(args.manifest)),
         n_seeds=args.noise_seeds,
         base_seed=args.seed,
-        levels_are_stddev=args.noise_as_stddev,
     )
     write_csv(rows, ["model", "variant", "noise_kind", "level", "seed", "accuracy"], args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -234,11 +236,8 @@ def cli(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, CheckpointError, NetpbmError, TrainingFailure) as e:
+    except (ScenemaskError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"io error: {e}", file=sys.stderr)
         return 2
 
 

@@ -380,7 +380,7 @@ def add_gaussian_noise(pixels: np.ndarray, level: float, seed: int) -> np.ndarra
     if level == 0:
         return pixels.copy()
     rng = SplitMix64(seed)
-    noise = rng.normals(pixels.size, 0.0, float(level) ** 0.5).reshape(pixels.shape)
+    noise = rng.normals(pixels.size, float(level) ** 0.5).reshape(pixels.shape)
     return np.clip(np.floor(pixels.astype(np.float64) + noise + 0.5), 0, 255).astype(np.uint8)
 
 

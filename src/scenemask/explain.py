@@ -105,7 +105,6 @@ def robustness_sweep(
     images_root,
     n_seeds: int = 5,
     base_seed: int = 0,
-    levels_are_stddev: bool = False,
 ) -> list:
     """Accuracy of each checkpointed model on the noise-corrupted test split.
 
@@ -126,10 +125,9 @@ def robustness_sweep(
 
     results = {}
     for li, level in enumerate(levels):
-        effective = float(level) ** 2 if (levels_are_stddev and kind == "gaussian") else level
         for seed in range(n_seeds):
             corrupted = [
-                (noise_fn(px, effective, derive_seed(base_seed, tag, li, seed, i)), label)
+                (noise_fn(px, level, derive_seed(base_seed, tag, li, seed, i)), label)
                 for i, (px, label) in enumerate(test_set)
             ]
             for name, params in models:

@@ -8,14 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NetpbmError, ShapeError
 from .tensor import Tensor
-
-
-class NetpbmError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte {offset})")
-        self.offset = offset
 
 
 class _Scanner:
@@ -99,12 +93,9 @@ def image_tensor(pixels: np.ndarray) -> Tensor:
     return Tensor(np.divide(channels_first, 255.0, out=np.empty(channels_first.shape)))
 
 
-def read_image(path, resize: tuple | None = None) -> Tensor:
+def read_image(path) -> Tensor:
     """Image file as a (3, h, w) tensor scaled to [0, 1]; see :func:`image_tensor`."""
-    px = read_pixels(path)
-    if resize is not None:
-        px = nearest_resize(px, resize)
-    return image_tensor(px)
+    return image_tensor(read_pixels(path))
 
 
 def quantize(values: np.ndarray) -> np.ndarray:
@@ -128,13 +119,3 @@ def write_pgm(gray: np.ndarray, path) -> None:
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % (w, h))
         f.write(gray.tobytes())
-
-
-def write_image(image, path) -> None:
-    """Write a (3, h, w) [0, 1] tensor or an 8-bit (h, w, 3)/(h, w) buffer."""
-    if isinstance(image, Tensor):
-        write_ppm(quantize(image.data).transpose(1, 2, 0), path)
-    elif image.ndim == 3:
-        write_ppm(image, path)
-    else:
-        write_pgm(image, path)

@@ -70,18 +70,19 @@ class SplitMix64:
         bits = self.fill_u64(n)
         return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * float(self.uniforms(1)[0])
+    def uniform(self) -> float:
+        """One sample strictly inside (0, 1), bitwise equal to ``uniforms(1)[0]``."""
+        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
 
-    def normals(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """``n`` Gaussian samples via Box-Muller (consumes 2*ceil(n/2) draws)."""
+    def normals(self, n: int, std: float = 1.0) -> np.ndarray:
+        """``n`` zero-mean Gaussian samples via Box-Muller (consumes 2*ceil(n/2) draws)."""
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
         u1, u2 = u[:pairs], u[pairs:]
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return mean + std * z
+        return std * z
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Modulo reduction; bias is negligible for n << 2^64."""

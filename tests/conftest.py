@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from scenemask import SceneSpec, SplitMix64, Tensor, generate_dataset, load_manifest
 
@@ -37,6 +38,25 @@ def random_tensor(shape, seed, low=-2.0, high=2.0):
     return Tensor(rng.uniforms(n).reshape(shape) * (high - low) + low)
 
 
+def corrupted_bytes(valid: bytes):
+    """Hypothesis strategy: ``valid`` with a few bytes overwritten, cut short,
+    or extended by a random tail."""
+    n = len(valid)
+
+    def overwrite(edits):
+        buf = bytearray(valid)
+        for at, value in edits:
+            buf[at] = value
+        return bytes(buf)
+
+    edits = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 255)), min_size=1, max_size=8)
+    return st.one_of(
+        edits.map(overwrite),
+        st.integers(0, n - 1).map(lambda cut: valid[:cut]),
+        st.binary(min_size=1, max_size=64).map(lambda tail: valid + tail),
+    )
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset(tmp_path_factory):
     """Small but trainable dataset shared across training-path tests."""
@@ -50,3 +70,9 @@ def tiny_dataset(tmp_path_factory):
 def tiny_manifest(tiny_dataset):
     _, manifest, _ = tiny_dataset
     return manifest
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    """One file path per test module, rewritten by every fuzz example."""
+    return tmp_path_factory.mktemp("fuzz") / "input"

@@ -19,7 +19,8 @@ from scenemask import (
     sensitivity_sweep,
     train,
 )
-from scenemask.cli import cli
+from scenemask import errors
+from scenemask.cli import _build_parser, cli
 from scenemask.errors import ConfigError
 from scenemask.explain import RunReport, config_digest, write_csv
 from scenemask.model import forward
@@ -291,6 +292,28 @@ def trained(workspace):
     return workspace / "m.ckpt"
 
 
+# what each subcommand requires; parsing fails before any of these paths is opened
+_REQUIRED = {
+    "gen-data": ["--out", "d"],
+    "train": ["--manifest", "m.csv", "--checkpoint-out", "m.ckpt"],
+    "eval": ["--checkpoint", "m.ckpt", "--manifest", "m.csv"],
+    "robustness": ["--checkpoints", "m.ckpt", "--kind", "gaussian", "--levels", "0"]
+    + ["--manifest", "m.csv", "--out", "o.csv"],
+    "sweep": ["--manifest", "m.csv", "--out", "o.csv"],
+    "explain": ["--checkpoint", "m.ckpt", "--image", "i.ppm", "--class", "0", "--out", "h.pgm"],
+    "mask-report": ["--checkpoint", "m.ckpt", "--out", "r.csv"],
+}
+# flags every subcommand once accepted, and the subcommands that read them
+_READ_BY = {
+    "--seed": {"gen-data", "train", "robustness"},
+    "--lambda": {"train"},
+    "--lr": {"train"},
+    "--noise-as-stddev": set(),
+}
+_READ = [(cmd, flag) for flag, readers in _READ_BY.items() for cmd in _REQUIRED if cmd in readers]
+_UNREAD = [(cmd, flag) for flag, readers in _READ_BY.items() for cmd in _REQUIRED if cmd not in readers]
+
+
 class TestCli:
     def test_gen_data_wrote_files(self, workspace):
         assert os.path.exists(workspace / "data" / "manifest.csv")
@@ -412,6 +435,27 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: truncated tensor data") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, dims, message",
+        [
+            (b"conv\xff.kernels", (4, 1, 1, 3, 3), "tensor name is not ASCII"),
+            (b"conv0.kernels", (65,) + (1,) * 65, "rank 65 of conv0.kernels exceeds 4"),
+            (b"conv0.kernels", (4, 0, 4_000_000_000, 4_000_000_000, 4_000_000_000), "empty dimension"),
+        ],
+        ids=["non-ascii-name", "rank-65", "zero-and-huge-dims"],
+    )
+    def test_malformed_checkpoint_record_is_runtime_error(self, workspace, name, dims, message, capsys):
+        import struct
+
+        bad = workspace / "record.ckpt"
+        record = struct.pack("<I", len(name)) + name + struct.pack(f"<{len(dims)}I", *dims)
+        bad.write_bytes(b"MASKHEAD1" + record + b"\x00" * 72)
+        manifest = workspace / "data" / "manifest.csv"
+        code = cli(["eval", "--checkpoint", str(bad), "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_out_of_range_class_is_runtime_error(self, workspace, trained, capsys):
         code = cli(
             [
@@ -465,6 +509,32 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and "line 3" in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", _UNREAD, ids=[f"{c} {f}" for c, f in _UNREAD])
+    def test_unread_flag_is_usage_error(self, command, flag, capsys):
+        value = [] if flag == "--noise-as-stddev" else ["5"]
+        code = cli([command, *_REQUIRED[command], flag, *value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"usage error: unrecognized arguments: {flag}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", _READ, ids=[f"{c} {f}" for c, f in _READ])
+    def test_read_flag_parses(self, command, flag):
+        args = _build_parser().parse_args([command, *_REQUIRED[command], flag, "5"])
+        assert vars(args)[{"--lambda": "lam"}.get(flag, flag[2:])] == 5
+
+    @pytest.mark.parametrize(
+        "error, builtin",
+        [
+            (errors.ShapeError, ValueError),
+            (errors.ConfigError, ValueError),
+            (errors.CheckpointError, ValueError),
+            (errors.NetpbmError, ValueError),
+            (errors.TrainingFailure, RuntimeError),
+        ],
+    )
+    def test_declared_errors_share_one_base(self, error, builtin):
+        assert issubclass(error, errors.ScenemaskError) and issubclass(error, builtin)
 
     def test_help_exits_zero(self):
         assert cli(["--help"]) == 0

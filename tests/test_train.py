@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenemask import (
     AdamState,
@@ -17,11 +19,13 @@ from scenemask import (
     train,
     write_train_record,
 )
-from scenemask.errors import CheckpointError, ConfigError, ShapeError
+from scenemask.errors import CheckpointError, ConfigError, ScenemaskError, ShapeError
 from scenemask.model import predict
 from scenemask.netpbm import image_tensor
 from scenemask.tensor import Tensor, backward
 from scenemask.train import _batch_objective, evaluate_pixels
+
+from conftest import corrupted_bytes
 
 TINY_ENCODER = EncoderConfig(input_size=(32, 32, 3), block_channels=(4, 8), n_classes=3)
 
@@ -263,13 +267,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(path)
 
-    def test_masked_checkpoint_rejected_for_baseline(self, tmp_path):
-        params = init_model_params(TINY_ENCODER, SplitMix64(10), masked=True)
-        path = tmp_path / "masked.ckpt"
-        save_checkpoint(params, path)
-        with pytest.raises(CheckpointError, match="mask.logits"):
-            load_checkpoint(path, variant="baseline")
-
     def test_truncated_tensor(self, tmp_path):
         params = init_model_params(TINY_ENCODER, SplitMix64(11), masked=False)
         path = tmp_path / "model.ckpt"
@@ -330,3 +327,15 @@ class TestCheckpoint:
         path.write_bytes(b"MASKHEAD1" + rec + rec2)
         with pytest.raises(CheckpointError, match="foo.bar"):
             load_checkpoint(path)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_file_returns_or_raises_declared_error(self, fuzz_path, data):
+        # a small model, so record headers are a large share of the bytes
+        config = EncoderConfig(input_size=(4, 4, 3), block_channels=(1,), n_classes=2)
+        save_checkpoint(init_model_params(config, SplitMix64(13), masked=True), fuzz_path)
+        fuzz_path.write_bytes(data.draw(corrupted_bytes(fuzz_path.read_bytes())))
+        try:
+            load_checkpoint(fuzz_path)
+        except ScenemaskError:
+            pass
