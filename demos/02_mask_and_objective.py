@@ -5,13 +5,14 @@ the two loss terms pull on the mask logits in opposite directions.
 
 import numpy as np
 
-from scenemask import MaskParams, Tensor, apply_mask, backward, l1_importance, mask_from_logits, total_loss
+from scenemask import Tensor, apply_mask, backward, l1_importance, mask_from_logits, total_loss
+from scenemask.masking import MASK_INIT_LOGIT
 from scenemask.tensor import tsum
 
 # The mask lives as unconstrained logits; its sigmoid is the gate in (0, 1).
 # Freshly initialized it keeps ~90% of every region.
-params = MaskParams.initial(4, 4)
-mask = mask_from_logits(params)
+logits = Tensor(np.full((4, 4), MASK_INIT_LOGIT))
+mask = mask_from_logits(logits)
 print("initial mask value:", round(float(mask.data[0, 0]), 4), "(everywhere)")
 
 # Gating multiplies every channel of a feature map by the same spatial grid.
@@ -33,15 +34,15 @@ print("total_loss(0.5, ones, 0.1) =", breakdown.total.item())
 
 # Gradient tug-of-war: the penalty pushes every logit down (gate closing),
 # while any prediction signal flowing through kept features pushes back up.
-params = MaskParams.initial(4, 4)
-mask = mask_from_logits(params)
+logits = Tensor(np.full((4, 4), MASK_INIT_LOGIT))
+mask = mask_from_logits(logits)
 objective = total_loss(tsum(apply_mask(features, mask)), mask, lam=0.1)
 backward(objective.total)
 print("\nlogit gradient with features present (prediction + penalty):")
-print(np.round(params.logits.grad, 4))
+print(np.round(logits.grad, 4))
 
-params = MaskParams.initial(4, 4)
-mask = mask_from_logits(params)
+logits = Tensor(np.full((4, 4), MASK_INIT_LOGIT))
+mask = mask_from_logits(logits)
 backward(l1_importance(mask))
 print("logit gradient from the penalty alone (always positive => gate closes):")
-print(np.round(params.logits.grad, 4))
+print(np.round(logits.grad, 4))

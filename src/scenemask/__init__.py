@@ -33,7 +33,6 @@ from .explain import (
     sensitivity_sweep,
 )
 from .masking import (
-    MaskParams,
     MaskedLossBreakdown,
     apply_mask,
     l1_importance,

@@ -15,7 +15,6 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
-from .masking import MaskParams
 from .model import ModelParams
 from .tensor import Tensor
 
@@ -107,7 +106,7 @@ def load_checkpoint(path) -> ModelParams:
     hw, hb = tensors["head.weights"], tensors["head.bias"]
     if hw.ndim != 2 or hb.shape != (hw.shape[0],) or hw.shape[1] != kernels[-1].shape[0]:
         raise CheckpointError('inconsistent shapes for "head"')
-    mask = MaskParams(Tensor(tensors["mask.logits"])) if has_mask else None
+    mask = Tensor(tensors["mask.logits"]) if has_mask else None
     return ModelParams(
         kernels=kernels, biases=biases, head_weights=Tensor(hw), head_bias=Tensor(hb), mask=mask
     )

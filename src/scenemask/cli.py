@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=["gaussian", "salt_pepper"], required=True)
     p.add_argument("--levels", type=_levels, required=True, help="comma-separated noise levels")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--noise-seeds", type=int, default=5)
+    p.add_argument("--noise-seeds", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0, help="base seed of the noise streams")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_robustness)
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--lrs", type=_numbers, default="1e-4,1e-3")
     p.add_argument("--lambdas", type=_numbers, default="0,0.01,0.1,1.0")
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=10)
@@ -120,6 +120,14 @@ def _numbers(text: str) -> list:
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
     return values
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1 (a ValueError reads as invalid)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _levels(text: str) -> list:

@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .netpbm import write_ppm
+from .errors import ConfigError, ShapeError
+from .netpbm import read_pixels, write_ppm
 from .rng import SplitMix64, derive_seed
 
 _TAG_IMAGE = 1
@@ -84,7 +84,6 @@ class ManifestRow:
 @dataclass
 class DatasetManifest:
     rows: list
-    spec: Optional[SceneSpec] = None
 
     def __post_init__(self):
         seen = set()
@@ -173,7 +172,6 @@ def _patches(n_classes: int, cue_size: int) -> tuple:
 class ImageLayout:
     cue_row: int
     cue_col: int
-    occluded: bool
     distractors: list  # (pool_index, row, col) in the periphery
     occluder: Optional[tuple]  # (pool_index, row, col) clipping the cue corner
 
@@ -215,7 +213,7 @@ def _image_layout(spec: SceneSpec, rng: SplitMix64) -> ImageLayout:
         dr = -shift if corner < 2 else shift
         dc = -shift if corner % 2 == 0 else shift
         occluder = (proto, cue_row + dr, cue_col + dc)
-    return ImageLayout(cue_row, cue_col, occluded, distractors, occluder)
+    return ImageLayout(cue_row, cue_col, distractors, occluder)
 
 
 def _paint(canvas: np.ndarray, patch: np.ndarray, row: int, col: int) -> None:
@@ -320,48 +318,62 @@ def generate_dataset(spec: SceneSpec, out_dir) -> DatasetManifest:
 
     tagged = split_dataset(items, spec.seed)
     rows = [ManifestRow(path, label, split) for path, label, split in tagged]
-    manifest = DatasetManifest(rows, spec)
+    manifest = DatasetManifest(rows)
     save_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest
 
 
-def save_manifest(manifest: DatasetManifest, path) -> None:
+def write_csv(rows, header: list, path) -> None:
+    """Write ``header`` and then each row of ``rows`` as one CSV line."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["path", "label", "split"])
-        for row in manifest.rows:
-            writer.writerow([row.path, row.label, row.split])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def save_manifest(manifest: DatasetManifest, path) -> None:
+    write_csv(([r.path, r.label, r.split] for r in manifest.rows), ["path", "label", "split"], path)
 
 
 def load_manifest(path) -> DatasetManifest:
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["path", "label", "split"]:
-            raise ConfigError(f"bad manifest header {header}")
-        for rec in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(rec) != 3:
-                raise ConfigError(f"{where}: expected 3 fields (path,label,split), got {len(rec)}")
-            try:
-                label = int(rec[1])
-            except ValueError:
-                raise ConfigError(f"{where}: label {rec[1]!r} is not an integer") from None
-            if rec[2] not in _SPLITS:
-                raise ConfigError(f"{where}: unknown split {rec[2]!r}, expected one of {_SPLITS}")
-            rows.append(ManifestRow(rec[0], label, rec[2]))
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header != ["path", "label", "split"]:
+                raise ConfigError(f"bad manifest header {header}")
+            for rec in reader:
+                where = f"{path} line {reader.line_num}"
+                if len(rec) != 3:
+                    raise ConfigError(
+                        f"{where}: expected 3 fields (path,label,split), got {len(rec)}"
+                    )
+                try:
+                    label = int(rec[1])
+                except ValueError:
+                    raise ConfigError(f"{where}: label {rec[1]!r} is not an integer") from None
+                if rec[2] not in _SPLITS:
+                    raise ConfigError(
+                        f"{where}: unknown split {rec[2]!r}, expected one of {_SPLITS}"
+                    )
+                rows.append(ManifestRow(rec[0], label, rec[2]))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ConfigError(f"{path} is not a readable CSV manifest: {e}") from None
     return DatasetManifest(rows)
 
 
-def load_split_pixels(manifest: DatasetManifest, root, split: str) -> list:
-    """(pixels, label) pairs for one split, in manifest order."""
-    from .netpbm import read_pixels
-
+def load_split_pixels(manifest: DatasetManifest, root, split: str):
+    """One split in manifest order: (n, h, w, 3) uint8 pixels and their (n,) labels."""
     rows = manifest.split_rows(split)
     if not rows:
         raise ConfigError(f"split '{split}' is empty")
-    return [(read_pixels(os.path.join(root, r.path)), r.label) for r in rows]
+    images = [read_pixels(os.path.join(root, r.path)) for r in rows]
+    shapes = sorted({px.shape for px in images})
+    if len(shapes) != 1:
+        raise ShapeError(f"split '{split}' mixes image sizes: {shapes}")
+    return np.stack(images), np.array([r.label for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ explanation) and the raw encoder output for baselines.  Sweeps emit plain CSV ro
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import hashlib
 import os
 from dataclasses import dataclass
 
@@ -23,6 +21,7 @@ from .data import (
     add_gaussian_noise,
     add_salt_pepper_noise,
     load_split_pixels,
+    write_csv,  # re-exported: sweep results are written with it
 )
 from .errors import ConfigError
 from .masking import mask_from_logits
@@ -42,15 +41,11 @@ _NOISE_TAGS = {"gaussian": 11, "salt_pepper": 12}
 class Heatmap:
     grid: np.ndarray  # nonnegative, max-normalized, feature-grid resolution
     upsampled: np.ndarray  # uint8, input resolution, nearest-neighbor
-    target_class: int
     confidence: float
 
 
 @dataclass
 class RunReport:
-    variant: str
-    config_digest: str
-    accuracies: list
     mean: float
     std: float
     min: float
@@ -74,7 +69,7 @@ def grad_cam(params: ModelParams, image: Tensor, target_class: int) -> Heatmap:
         grid = grid / peak
     upsampled = quantize(nearest_resize(grid, (image.shape[1], image.shape[2])))
     confidence = float(softmax_values(logits.data)[target_class])
-    return Heatmap(grid, upsampled, target_class, confidence)
+    return Heatmap(grid, upsampled, confidence)
 
 
 def mask_report(params: ModelParams) -> str:
@@ -114,6 +109,8 @@ def robustness_sweep(
     """
     if kind not in _NOISE_FNS:
         raise ConfigError(f"unknown noise kind '{kind}'")
+    if not levels or n_seeds < 1:
+        raise ConfigError(f"levels and n_seeds must be nonempty, got {levels} and {n_seeds}")
     noise_fn = _NOISE_FNS[kind]
     tag = _NOISE_TAGS[kind]
     models = []
@@ -121,17 +118,19 @@ def robustness_sweep(
         name = os.path.splitext(os.path.basename(path))[0]
         params = load_checkpoint(path)
         models.append((name, params))
-    test_set = load_split_pixels(manifest, images_root, "test")
+    test_pixels, test_labels = load_split_pixels(manifest, images_root, "test")
 
     results = {}
     for li, level in enumerate(levels):
         for seed in range(n_seeds):
-            corrupted = [
-                (noise_fn(px, level, derive_seed(base_seed, tag, li, seed, i)), label)
-                for i, (px, label) in enumerate(test_set)
-            ]
+            corrupted = np.stack(
+                [
+                    noise_fn(px, level, derive_seed(base_seed, tag, li, seed, i))
+                    for i, px in enumerate(test_pixels)
+                ]
+            )
             for name, params in models:
-                accuracy, _ = evaluate_pixels(params, corrupted)
+                accuracy, _ = evaluate_pixels(params, corrupted, test_labels)
                 results[(name, li, seed)] = accuracy
 
     rows = []
@@ -155,8 +154,8 @@ def sensitivity_sweep(
 
     Returns rows [lr, lambda, seed, test_accuracy] in fixed grid order.
     """
-    if not lrs or not lams:
-        raise ConfigError("sensitivity grid must be nonempty")
+    if not lrs or not lams or n_seeds < 1:
+        raise ConfigError("sensitivity grid and seed count must be nonempty")
     if template is None:
         template = TrainConfig()
     rows = []
@@ -172,21 +171,14 @@ def sensitivity_sweep(
     return rows
 
 
-def aggregate_report(accuracies: list, variant: str = "", config_digest: str = "") -> RunReport:
+def aggregate_report(accuracies: list) -> RunReport:
     """Mean, population standard deviation, and minimum over the 5 run seeds."""
     if len(accuracies) != 5:
         raise ConfigError(f"expected 5 per-seed accuracies, got {len(accuracies)}")
     if any(not 0.0 <= a <= 1.0 for a in accuracies):
         raise ConfigError("accuracies must lie in [0, 1]")
     arr = np.asarray(accuracies, dtype=np.float64)
-    return RunReport(
-        variant=variant,
-        config_digest=config_digest,
-        accuracies=list(map(float, accuracies)),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        min=float(arr.min()),
-    )
+    return RunReport(mean=float(arr.mean()), std=float(arr.std()), min=float(arr.min()))
 
 
 def format_report(report: RunReport) -> str:
@@ -199,15 +191,3 @@ def _format_std(std: float) -> str:
         return "0"
     mantissa, exponent = f"{std:.1e}".split("e")
     return f"{mantissa}e{int(exponent)}"
-
-
-def config_digest(config: TrainConfig) -> str:
-    return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
-
-
-def write_csv(rows: list, header: list, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)

@@ -11,6 +11,7 @@ entries pushes uninformative regions toward 0; the training objective is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,33 +25,16 @@ MASK_INIT_LOGIT = 2.1972246
 
 
 @dataclass
-class MaskParams:
-    """Unconstrained logits whose sigmoid is the mask grid."""
-
-    logits: Tensor
-
-    @classmethod
-    def initial(cls, rows: int, cols: int) -> "MaskParams":
-        return cls(Tensor(np.full((rows, cols), MASK_INIT_LOGIT)))
-
-    @property
-    def grid_shape(self) -> tuple:
-        return self.logits.shape
-
-
-@dataclass
 class MaskedLossBreakdown:
-    """Objective terms: total = prediction_loss + lam * regularization_loss."""
+    """Objective terms: total = prediction loss + lam * regularization_loss."""
 
-    prediction_loss: Tensor
     regularization_loss: Tensor
-    lam: float
     total: Tensor
 
 
-def mask_from_logits(params: MaskParams) -> Tensor:
-    """Mask grid in (0, 1), differentiable through the sigmoid."""
-    return sigmoid(params.logits)
+def mask_from_logits(logits: Tensor) -> Tensor:
+    """Mask grid in (0, 1), differentiable through the sigmoid of its logits."""
+    return sigmoid(logits)
 
 
 def apply_mask(features: Tensor, mask: Tensor) -> Tensor:
@@ -95,11 +79,11 @@ def total_loss(prediction_loss: Tensor, mask: Tensor, lam: float) -> MaskedLossB
     the penalty is excluded from the objective entirely; gradients still
     reach the mask logits through the prediction path.
     """
-    if lam < 0:
-        raise ConfigError(f"lam must be nonnegative, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"lam must be finite and nonnegative, got {lam}")
     reg = l1_importance(mask)
     if lam == 0:
         total = prediction_loss
     else:
         total = add(prediction_loss, scale(reg, lam))
-    return MaskedLossBreakdown(prediction_loss, reg, lam, total)
+    return MaskedLossBreakdown(reg, total)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .masking import MaskParams, apply_mask, mask_from_logits
+from .masking import MASK_INIT_LOGIT, apply_mask, mask_from_logits
 from .rng import SplitMix64
 from .tensor import Tensor, conv2d, gap, linear, relu
 
@@ -54,13 +54,14 @@ class EncoderConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors of one model; ``mask`` is None for the baseline."""
+    """All trainable tensors of one model; ``mask`` holds the mask logits, None for
+    the baseline."""
 
     kernels: list  # per block: Tensor (c_out, c_in, 3, 3)
     biases: list  # per block: Tensor (c_out,)
     head_weights: Tensor
     head_bias: Tensor
-    mask: Optional[MaskParams] = None
+    mask: Optional[Tensor] = None
 
     @property
     def variant(self) -> str:
@@ -79,7 +80,7 @@ class ModelParams:
         out["head.weights"] = self.head_weights
         out["head.bias"] = self.head_bias
         if self.mask is not None:
-            out["mask.logits"] = self.mask.logits
+            out["mask.logits"] = self.mask
         return out
 
     def snapshot(self) -> dict:
@@ -115,7 +116,7 @@ def init_model_params(config: EncoderConfig, rng: SplitMix64, masked: bool) -> M
         * s
         - s
     )
-    mask = MaskParams.initial(*config.grid_shape) if masked else None
+    mask = Tensor(np.full(config.grid_shape, MASK_INIT_LOGIT)) if masked else None
     return ModelParams(
         kernels=kernels,
         biases=biases,

@@ -11,7 +11,6 @@ is excluded so baseline and masked runs are comparable).
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DatasetManifest, load_split_pixels
-from .errors import ConfigError, ShapeError, TrainingFailure
+from .data import DatasetManifest, load_split_pixels, write_csv
+from .errors import ConfigError, TrainingFailure
 from .masking import total_loss
 from .model import EncoderConfig, ModelParams, forward, init_model_params, predict
 from .netpbm import image_tensor
@@ -44,10 +43,10 @@ class TrainConfig:
     variant: str = "masked"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and nonnegative, got {self.lam}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs and patience must be positive")
         if self.variant not in ("baseline", "masked"):
@@ -79,15 +78,13 @@ class TrainRecord:
     wall_seconds: float = 0.0
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update applied in place."""
+def adam_step(params: ModelParams, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of each parameter from its ``grad``, in place."""
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
     for name, tensor in params.named_tensors().items():
-        g = grads[name]
-        if g.shape != tensor.data.shape:
-            raise TrainingFailure(f"gradient shape {g.shape} for {name} {tensor.data.shape}")
+        g = tensor.grad
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
@@ -103,15 +100,6 @@ def _batch_objective(params: ModelParams, images: Tensor, labels: np.ndarray, la
     logits, _, mask = forward(params, images)
     prediction_loss = softmax_cross_entropy(logits, labels)
     return prediction_loss if mask is None else total_loss(prediction_loss, mask, lam).total
-
-
-def _stack(pairs: list):
-    """(pixels, label) pairs as a (3, n, h, w) image array and its (n,) labels."""
-    shapes = sorted({px.shape for px, _ in pairs})
-    if len(shapes) != 1:
-        raise ShapeError(f"images of different sizes cannot share a batch: {shapes}")
-    images = image_tensor(np.stack([px for px, _ in pairs])).data
-    return images, np.array([label for _, label in pairs])
 
 
 def _logits(params: ModelParams, images: np.ndarray) -> np.ndarray:
@@ -133,15 +121,15 @@ def train(
 ):
     """Train one model; returns (best-epoch ModelParams, TrainRecord)."""
     start = time.monotonic()
-    train_images, train_labels = _stack(load_split_pixels(manifest, images_root, "train"))
-    val_images, val_labels = _stack(load_split_pixels(manifest, images_root, "val"))
+    train_pixels, train_labels = load_split_pixels(manifest, images_root, "train")
+    val_pixels, val_labels = load_split_pixels(manifest, images_root, "val")
+    train_images, val_images = image_tensor(train_pixels).data, image_tensor(val_pixels).data
     if encoder is None:
         h, w = train_images.shape[2:]
         encoder = EncoderConfig(input_size=(h, w, 3), n_classes=manifest.n_classes)
 
     rng = SplitMix64(config.seed)
     params = init_model_params(encoder, rng, masked=config.variant == "masked")
-    named = params.named_tensors()
     state = AdamState.for_params(params)
     record = TrainRecord()
 
@@ -162,7 +150,7 @@ def train(
                 raise TrainingFailure(f"non-finite loss at epoch {epoch}, batch {batch_index}")
             epoch_loss += value * len(batch)
             backward(objective)
-            adam_step(params, {n: t.grad for n, t in named.items()}, state, config.learning_rate)
+            adam_step(params, state, config.learning_rate)
 
         record.train_loss.append(epoch_loss / len(order))
 
@@ -187,29 +175,25 @@ def train(
     return params, record
 
 
-def evaluate_pixels(params: ModelParams, pairs: list):
-    """Accuracy and per-class confusion counts over (pixels, label) pairs."""
-    if not pairs:
+def evaluate_pixels(params: ModelParams, pixels: np.ndarray, labels: np.ndarray):
+    """Accuracy and per-class confusion counts over (n, h, w, 3) pixels and their (n,) labels."""
+    if len(labels) == 0:
         raise ConfigError("cannot evaluate an empty sample list")
     n = params.n_classes
-    images, labels = _stack(pairs)
     if labels.min() < 0 or labels.max() >= n:
         raise ConfigError(f"labels must lie in [0, {n}) for a {n}-class model")
-    predicted = _logits(params, images).argmax(axis=0)
+    predicted = _logits(params, image_tensor(pixels).data).argmax(axis=0)
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
-    accuracy = float(np.trace(confusion)) / len(pairs)
+    accuracy = float(np.trace(confusion)) / len(labels)
     return accuracy, confusion
 
 
 def evaluate(params: ModelParams, manifest: DatasetManifest, split: str, images_root):
     """Accuracy and confusion counts on one manifest split."""
-    return evaluate_pixels(params, load_split_pixels(manifest, images_root, split))
+    return evaluate_pixels(params, *load_split_pixels(manifest, images_root, split))
 
 
 def write_train_record(record: TrainRecord, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_acc"])
-        for i in range(len(record.train_loss)):
-            writer.writerow([i + 1, record.train_loss[i], record.val_loss[i], record.val_acc[i]])
+    rows = zip(range(1, len(record.train_loss) + 1), record.train_loss, record.val_loss, record.val_acc)
+    write_csv(rows, ["epoch", "train_loss", "val_loss", "val_acc"], path)

@@ -14,7 +14,6 @@ import pytest
 
 from scenemask import (
     EncoderConfig,
-    MaskParams,
     SceneSpec,
     SplitMix64,
     Tensor,
@@ -177,7 +176,7 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_identity_mask_equivalence():
     config = EncoderConfig()
     params = init_model_params(config, SplitMix64(21), masked=True)
-    params.mask.logits.data[...] = 40.0
+    params.mask.data[...] = 40.0
     worst_soft = 0.0
     for i in range(100):
         image = random_tensor((3, 32, 32), seed=2000 + i, low=0.0, high=1.0)

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemask import (
+    DatasetManifest,
+    ManifestRow,
     SceneSpec,
     SplitMix64,
     Tensor,
@@ -17,6 +19,7 @@ from scenemask import (
     add_salt_pepper_noise,
     generate_dataset,
     load_manifest,
+    save_manifest,
     split_dataset,
 )
 from scenemask.data import image_layout, render_image
@@ -140,6 +143,18 @@ class TestGenerate:
         assert [(r.path, r.label, r.split) for r in loaded.rows] == [
             (r.path, r.label, r.split) for r in manifest.rows
         ]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_manifest_returns_or_raises_declared_error(self, fuzz_path, data):
+        splits = ("train", "val", "test")
+        rows = [ManifestRow(f"img_c{i % 2}_{i:04d}.ppm", i % 2, splits[i % 3]) for i in range(6)]
+        save_manifest(DatasetManifest(rows), fuzz_path)
+        fuzz_path.write_bytes(data.draw(corrupted_bytes(fuzz_path.read_bytes())))
+        try:
+            load_manifest(fuzz_path)
+        except ScenemaskError:
+            pass
 
     def test_nearest_centroid_on_cue_region_is_perfect(self, tmp_path):
         # the task is solvable from the cue region alone: a brute-force

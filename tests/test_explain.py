@@ -22,7 +22,7 @@ from scenemask import (
 from scenemask import errors
 from scenemask.cli import _build_parser, cli
 from scenemask.errors import ConfigError
-from scenemask.explain import RunReport, config_digest, write_csv
+from scenemask.explain import RunReport, write_csv
 from scenemask.model import forward
 from scenemask.tensor import backward, mul, tsum
 from scenemask.train import evaluate
@@ -74,7 +74,7 @@ class TestGradCam:
 
     def test_identity_mask_matches_baseline_heatmap(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(7), masked=True)
-        params.mask.logits.data[...] = 1e9  # exact all-ones mask
+        params.mask.data[...] = 1e9  # exact all-ones mask
         baseline = init_model_params(TINY_ENCODER, SplitMix64(7), masked=False)
         image = random_tensor((3, 32, 32), seed=8, low=0.0, high=1.0)
         a = grad_cam(params, image, 0)
@@ -90,7 +90,7 @@ class TestGradCam:
         for i, b in enumerate(params.biases + [params.head_bias]):
             b.data[...] = random_tensor(b.shape, seed=20 + i, low=-0.5, high=0.5).data
         if masked:
-            params.mask.logits.data[...] = random_tensor((8, 8), seed=15).data
+            params.mask.data[...] = random_tensor((8, 8), seed=15).data
         image = random_tensor((3, 32, 32), seed=16, low=0.0, high=1.0)
         for c in range(params.n_classes):
             logits, pooled, _ = forward(params, image)
@@ -125,7 +125,7 @@ class TestMaskReport:
 
     def test_fully_suppressed_mask(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(12), masked=True)
-        params.mask.logits.data[...] = -40.0
+        params.mask.data[...] = -40.0
         text = mask_report(params)
         suppressed = int(text.strip().splitlines()[-1].split(",")[-1])
         assert suppressed == 64
@@ -195,6 +195,17 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             sensitivity_sweep([], [0.1], manifest, root)
 
+    @pytest.mark.parametrize("levels, n_seeds", [([], 1), ([0], 0), ([0], -2)])
+    def test_empty_robustness_sweep_rejected(self, checkpoints, tiny_dataset, levels, n_seeds):
+        _, manifest, root = tiny_dataset
+        with pytest.raises(ConfigError):
+            robustness_sweep(checkpoints, "gaussian", levels, manifest, root, n_seeds=n_seeds)
+
+    def test_sensitivity_seed_count_below_one_rejected(self, tiny_dataset):
+        _, manifest, root = tiny_dataset
+        with pytest.raises(ConfigError):
+            sensitivity_sweep([1e-3], [0.1], manifest, root, n_seeds=0)
+
 
 class TestAggregateReport:
     def test_all_equal(self):
@@ -230,23 +241,11 @@ class TestAggregateReport:
             aggregate_report([0.9] * 4)
 
     def test_format_mirrors_result_table_row(self):
-        report = RunReport(
-            variant="masked",
-            config_digest="",
-            accuracies=[0.9] * 5,
-            mean=0.9,
-            std=7.5e-4,
-            min=0.9,
-        )
+        report = RunReport(mean=0.9, std=7.5e-4, min=0.9)
         assert format_report(report) == "0.900 ± 7.5e-4 | 0.900"
 
     def test_format_zero_std(self):
         assert format_report(aggregate_report([0.9] * 5)) == "0.900 ± 0 | 0.900"
-
-    def test_config_digest_is_stable(self):
-        a = config_digest(TrainConfig())
-        b = config_digest(TrainConfig())
-        assert a == b and len(a) == 12
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +507,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "line 3" in err and message in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_manifest_is_runtime_error(self, tmp_path, trained, capsys):
+        manifest = tmp_path / "bad.csv"
+        manifest.write_bytes(b"path,label,split\nimg_\xff.ppm,0,test\n")
+        code = cli(["eval", "--checkpoint", str(trained), "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "bad.csv" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan")])
+    def test_non_finite_rate_is_runtime_error(self, workspace, flag, value, capsys):
+        out = workspace / "never.ckpt"
+        manifest = str(workspace / "data" / "manifest.csv")
+        code = cli(["train", "--manifest", manifest, "--checkpoint-out", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("robustness", "--noise-seeds", "0"),
+            ("robustness", "--noise-seeds", "-2"),
+            ("sweep", "--seeds", "0"),
+        ],
+    )
+    def test_seed_count_below_one_is_usage_error(self, command, flag, value, capsys):
+        code = cli([command, *_REQUIRED[command], flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"usage error: argument {flag}: must be at least 1")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag", _UNREAD, ids=[f"{c} {f}" for c, f in _UNREAD])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemask import (
-    MaskParams,
     Tensor,
     apply_mask,
     backward,
@@ -21,17 +20,17 @@ from conftest import central_difference, max_relative_error, random_tensor
 
 class TestMaskFromLogits:
     def test_zero_logits_give_half(self):
-        mask = mask_from_logits(MaskParams(Tensor(np.zeros((4, 4)))))
+        mask = mask_from_logits(Tensor(np.zeros((4, 4))))
         assert np.array_equal(mask.data, np.full((4, 4), 0.5))
 
     def test_init_logit_gives_point_nine(self):
-        mask = mask_from_logits(MaskParams.initial(8, 8))
+        mask = mask_from_logits(Tensor(np.full((8, 8), MASK_INIT_LOGIT)))
         assert mask.data == pytest.approx(0.9, abs=1e-6)
         assert MASK_INIT_LOGIT == pytest.approx(2.1972246)
 
     def test_range_is_open_unit_interval(self):
         logits = random_tensor((5, 3), seed=3, low=-30.0, high=30.0)
-        mask = mask_from_logits(MaskParams(logits))
+        mask = mask_from_logits(logits)
         assert np.all(mask.data > 0.0)
         assert np.all(mask.data < 1.0)
 
@@ -110,7 +109,6 @@ class TestTotalLoss:
         breakdown = total_loss(pre, Tensor(np.ones((8, 8))), 0.1)
         assert breakdown.total.item() == 6.9
         assert breakdown.regularization_loss.item() == 64.0
-        assert breakdown.lam == 0.1
 
     def test_lam_zero_is_prediction_loss_bitwise(self):
         pre = Tensor(np.float64(0.4375))
@@ -121,6 +119,11 @@ class TestTotalLoss:
     def test_negative_lam_rejected(self):
         with pytest.raises(ConfigError):
             total_loss(Tensor(np.float64(1.0)), Tensor(np.ones((2, 2))), -0.1)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            total_loss(Tensor(np.float64(1.0)), Tensor(np.ones((2, 2))), lam)
 
     def test_breakdown_identity(self):
         pre = Tensor(np.float64(1.25))
@@ -137,11 +140,11 @@ class TestTotalLoss:
         lam = 0.3
 
         def value():
-            m = mask_from_logits(MaskParams(logits))
+            m = mask_from_logits(logits)
             pre = tsum(apply_mask(features, m))
             return total_loss(pre, m, lam).total.item()
 
-        m = mask_from_logits(MaskParams(logits))
+        m = mask_from_logits(logits)
         pre = tsum(apply_mask(features, m))
         backward(total_loss(pre, m, lam).total)
         (numeric,) = central_difference(value, [logits.data])
@@ -160,6 +163,6 @@ class TestInvariants:
     def test_sparsity_pressure_is_strictly_positive(self):
         # gradient of lam * l1(sigmoid(logits)) w.r.t. every logit is > 0
         logits = random_tensor((4, 4), seed=33, low=-6.0, high=6.0)
-        mask = mask_from_logits(MaskParams(logits))
+        mask = mask_from_logits(logits)
         backward(l1_importance(mask))
         assert np.all(logits.grad > 0.0)

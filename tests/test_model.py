@@ -84,7 +84,7 @@ class TestPredict:
 
     def test_saturated_mask_matches_baseline(self):
         config, params = make_params(masked=True)
-        params.mask.logits.data[...] = 40.0
+        params.mask.data[...] = 40.0
         image = random_tensor((3, 32, 32), seed=7, low=0.0, high=1.0)
         masked = predict_masked(params, image).data
         plain = predict_baseline(params, image).data
@@ -92,17 +92,15 @@ class TestPredict:
 
     def test_suppressing_mask_gives_head_bias(self):
         config, params = make_params(masked=True)
-        params.mask.logits.data[...] = -40.0
+        params.mask.data[...] = -40.0
         params.head_bias.data[...] = [0.5, -1.0, 2.0, 0.0]
         image = random_tensor((3, 32, 32), seed=8, low=0.0, high=1.0)
         logits = predict_masked(params, image).data
         assert np.max(np.abs(logits - params.head_bias.data)) <= 1e-9
 
     def test_mask_grid_mismatch_rejected(self):
-        from scenemask import MaskParams
-
         config, params = make_params(masked=True)
-        params.mask = MaskParams(Tensor(np.zeros((4, 4))))
+        params.mask = Tensor(np.zeros((4, 4)))
         image = random_tensor((3, 32, 32), seed=9, low=0.0, high=1.0)
         with pytest.raises(Exception):
             predict_masked(params, image)
@@ -140,8 +138,8 @@ class TestPredict:
             return softmax_cross_entropy(predict_masked(params, image), 1).item()
 
         backward(softmax_cross_entropy(predict_masked(params, image), 1))
-        (numeric,) = central_difference(value, [params.mask.logits.data])
-        assert max_relative_error(params.mask.logits.grad, numeric) <= 1e-4
+        (numeric,) = central_difference(value, [params.mask.data])
+        assert max_relative_error(params.mask.grad, numeric) <= 1e-4
 
 
 class TestBatchedForward:
@@ -150,7 +148,7 @@ class TestBatchedForward:
         config, params = make_params(seed=30, masked=masked)
         if masked:
             logits = random_tensor(config.grid_shape, seed=31, low=-3.0, high=3.0)
-            params.mask.logits.data[...] = logits.data
+            params.mask.data[...] = logits.data
         params.head_bias.data[...] = random_tensor((4,), seed=32).data
         images = random_tensor((3, 5, 32, 32), seed=33, low=0.0, high=1.0)
         logits, pooled, _ = forward(params, images)
@@ -169,7 +167,7 @@ class TestBatchedForward:
 class TestStructuralInvariants:
     def test_identity_mask_equivalence_everywhere(self):
         config, params = make_params(seed=12, masked=True)
-        params.mask.logits.data[...] = 1e9  # sigmoid gives exactly 1.0 here
+        params.mask.data[...] = 1e9  # sigmoid gives exactly 1.0 here
         for seed in range(5):
             image = random_tensor((3, 32, 32), seed=100 + seed, low=0.0, high=1.0)
             masked = predict_masked(params, image).data

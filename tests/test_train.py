@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from scenemask import (
     AdamState,
+    DatasetManifest,
     EncoderConfig,
+    ManifestRow,
     SplitMix64,
     TrainConfig,
     adam_step,
@@ -21,7 +23,7 @@ from scenemask import (
 )
 from scenemask.errors import CheckpointError, ConfigError, ScenemaskError, ShapeError
 from scenemask.model import predict
-from scenemask.netpbm import image_tensor
+from scenemask.netpbm import image_tensor, write_ppm
 from scenemask.tensor import Tensor, backward
 from scenemask.train import _batch_objective, evaluate_pixels
 
@@ -44,33 +46,40 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", 0.0), ("learning_rate", math.nan), ("learning_rate", math.inf)]
+        + [("lam", -0.1), ("lam", math.nan), ("lam", math.inf)],
+    )
+    def test_rate_and_lam_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            tiny_config(**{field: value})
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(0), masked=False)
         params.head_bias.data[...] = 1.0
         state = AdamState.for_params(params)
-        grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors().items()}
-        grads["head.bias"][...] = 1.0
-        adam_step(params, grads, state, 1e-3)
+        params.head_bias.grad[...] = 1.0
+        adam_step(params, state, 1e-3)
         assert params.head_bias.data == pytest.approx(0.999, abs=1e-6)
         assert state.t == 1
 
     def test_zero_gradient_leaves_parameters(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(1), masked=True)
         before = params.snapshot()
-        grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors().items()}
-        adam_step(params, grads, AdamState.for_params(params), 1e-3)
+        adam_step(params, AdamState.for_params(params), 1e-3)
         for name, tensor in params.named_tensors().items():
             assert np.array_equal(tensor.data, before[name])
 
     def test_zero_learning_rate_is_bitwise_noop(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(2), masked=True)
         before = params.snapshot()
-        grads = {
-            n: SplitMix64(10 + i).uniforms(t.data.size).reshape(t.data.shape) - 0.5
-            for i, (n, t) in enumerate(params.named_tensors().items())
-        }
-        adam_step(params, grads, AdamState.for_params(params), 0.0)
+        for i, t in enumerate(params.named_tensors().values()):
+            t.grad = SplitMix64(10 + i).uniforms(t.data.size).reshape(t.data.shape) - 0.5
+        adam_step(params, AdamState.for_params(params), 0.0)
         for name, tensor in params.named_tensors().items():
             assert np.array_equal(tensor.data, before[name])
 
@@ -90,11 +99,10 @@ class TestAdam:
         params = init_model_params(TINY_ENCODER, SplitMix64(3), masked=False)
         params.head_bias.data[...] = 1.0
         state = AdamState.for_params(params)
-        grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors().items()}
         observed = []
         for _ in range(10):
-            grads["head.bias"][...] = g
-            adam_step(params, grads, state, lr)
+            params.head_bias.grad[...] = g
+            adam_step(params, state, lr)
             observed.append(float(params.head_bias.data[0]))
         assert observed == pytest.approx(expected, abs=1e-12)
 
@@ -123,14 +131,14 @@ class TestTrainLoop:
         gated = apply_mask(encode(params, image), mask_t)
         pre = softmax_cross_entropy(linear(gap(gated), params.head_weights, params.head_bias), 0)
         breakdown = total_loss(pre, mask_t, 0.0)
-        assert breakdown.total.item() == breakdown.prediction_loss.item()
+        assert breakdown.total.item() == pre.item()
 
     def test_mask_moves_even_without_regularizer(self, tiny_dataset):
         _, manifest, root = tiny_dataset
         params, _ = train(tiny_config(lam=0.0, max_epochs=2), manifest, root, TINY_ENCODER)
         from scenemask.masking import MASK_INIT_LOGIT
 
-        assert not np.allclose(params.mask.logits.data, MASK_INIT_LOGIT)
+        assert not np.allclose(params.mask.data, MASK_INIT_LOGIT)
 
     def test_early_stopping_contract(self, tiny_dataset):
         _, manifest, root = tiny_dataset
@@ -196,8 +204,8 @@ class TestEvaluate:
             k.data[...] = 0.0
         params.head_weights.data[...] = 0.0
         params.head_bias.data[...] = [1.0, 0.0, 0.0]
-        pixels = np.zeros((32, 32, 3), dtype=np.uint8)
-        accuracy, confusion = evaluate_pixels(params, [(pixels, 0), (pixels, 1), (pixels, 0)])
+        pixels = np.zeros((3, 32, 32, 3), dtype=np.uint8)
+        accuracy, confusion = evaluate_pixels(params, pixels, np.array([0, 1, 0]))
         assert accuracy == pytest.approx(2 / 3)
         assert confusion[0, 0] == 2 and confusion[1, 0] == 1
 
@@ -206,16 +214,16 @@ class TestEvaluate:
         params = init_model_params(config, SplitMix64(5), masked=False)
         params.head_weights.data[...] = 0.0
         params.head_bias.data[...] = [1.0, 0.0]
-        pixels = np.zeros((32, 32, 3), dtype=np.uint8)
-        accuracy, _ = evaluate_pixels(params, [(pixels, 0), (pixels, 1)] * 4)
+        pixels = np.zeros((8, 32, 32, 3), dtype=np.uint8)
+        accuracy, _ = evaluate_pixels(params, pixels, np.array([0, 1] * 4))
         assert accuracy == 0.5
 
     def test_argmax_ties_break_low(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(6), masked=False)
         params.head_weights.data[...] = 0.0
         params.head_bias.data[...] = 0.0  # all logits equal
-        pixels = np.zeros((32, 32, 3), dtype=np.uint8)
-        accuracy, confusion = evaluate_pixels(params, [(pixels, 1)])
+        pixels = np.zeros((1, 32, 32, 3), dtype=np.uint8)
+        accuracy, confusion = evaluate_pixels(params, pixels, np.array([1]))
         assert confusion[1, 0] == 1
 
     def test_confusion_equals_per_image_argmax_counts(self, tiny_dataset):
@@ -223,25 +231,30 @@ class TestEvaluate:
 
         _, manifest, root = tiny_dataset
         params = init_model_params(TINY_ENCODER, SplitMix64(13), masked=True)
-        pairs = load_split_pixels(manifest, root, "train") * 3  # more than one chunk
+        pixels, labels = load_split_pixels(manifest, root, "train")
+        pixels, labels = np.concatenate([pixels] * 3), np.tile(labels, 3)  # more than one chunk
         expected = np.zeros((3, 3), dtype=np.int64)
-        for pixels, label in pairs:
-            expected[label, int(np.argmax(predict(params, image_tensor(pixels)).data))] += 1
-        accuracy, confusion = evaluate_pixels(params, pairs)
+        for px, label in zip(pixels, labels):
+            expected[label, int(np.argmax(predict(params, image_tensor(px)).data))] += 1
+        accuracy, confusion = evaluate_pixels(params, pixels, labels)
         assert np.array_equal(confusion, expected)
-        assert accuracy == np.trace(expected) / len(pairs)
+        assert accuracy == np.trace(expected) / len(labels)
 
     def test_label_outside_model_classes_rejected(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(14), masked=False)
-        pixels = np.zeros((32, 32, 3), dtype=np.uint8)
+        pixels = np.zeros((2, 32, 32, 3), dtype=np.uint8)
         with pytest.raises(ConfigError):
-            evaluate_pixels(params, [(pixels, 0), (pixels, 3)])
+            evaluate_pixels(params, pixels, np.array([0, 3]))
 
-    def test_mixed_image_sizes_rejected(self):
+    def test_mixed_image_sizes_rejected(self, tmp_path):
+        # a split is one (n, h, w, 3) array, so sizes are checked when it is loaded
         params = init_model_params(TINY_ENCODER, SplitMix64(15), masked=False)
-        pairs = [(np.zeros((s, s, 3), dtype=np.uint8), 0) for s in (32, 16)]
-        with pytest.raises(ShapeError):
-            evaluate_pixels(params, pairs)
+        rows = []
+        for s in (32, 16):
+            write_ppm(np.zeros((s, s, 3), dtype=np.uint8), tmp_path / f"{s}.ppm")
+            rows.append(ManifestRow(f"{s}.ppm", 0, "test"))
+        with pytest.raises(ShapeError, match="mixes image sizes"):
+            evaluate(params, DatasetManifest(rows), "test", tmp_path)
 
     def test_empty_split_rejected(self, tiny_dataset):
         _, manifest, root = tiny_dataset
@@ -253,7 +266,7 @@ class TestEvaluate:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_model_params(TINY_ENCODER, SplitMix64(8), masked=True)
-        params.mask.logits.data[...] = SplitMix64(9).uniforms(64).reshape(8, 8) * 4 - 2
+        params.mask.data[...] = SplitMix64(9).uniforms(64).reshape(8, 8) * 4 - 2
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
