@@ -20,7 +20,7 @@ from scenemask import (
     save_checkpoint,
     train,
 )
-from scenemask.explain import write_csv
+from scenemask.data import write_csv
 
 workdir = tempfile.mkdtemp(prefix="scenemask_noise_")
 spec = SceneSpec(seed=0)

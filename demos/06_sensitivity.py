@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 
 from scenemask import SceneSpec, TrainConfig, generate_dataset, sensitivity_sweep
-from scenemask.explain import write_csv
+from scenemask.data import write_csv
 
 workdir = tempfile.mkdtemp(prefix="scenemask_sweep_")
 spec = SceneSpec(seed=0)

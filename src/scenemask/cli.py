@@ -7,24 +7,15 @@ stderr; results (e.g. eval accuracy) go to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (
-    SceneSpec,
-    generate_dataset,
-    load_manifest,
-)
+from .data import SceneSpec, generate_dataset, load_manifest, write_csv
 from .errors import ScenemaskError
-from .explain import (
-    grad_cam,
-    mask_report,
-    robustness_sweep,
-    sensitivity_sweep,
-    write_csv,
-)
+from .explain import grad_cam, mask_report, robustness_sweep, sensitivity_sweep
 from .netpbm import read_image, write_pgm
 from .train import TrainConfig, evaluate, train, write_train_record
 
@@ -34,9 +25,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # no prefix matching: `sweep --lr` must not silently mean `--lrs`
+    # no prefix matching: `sweep --lr` must not silently mean `--lrs`.  A flag
+    # left out is absent from the namespace, so SceneSpec and TrainConfig keep
+    # the only copy of their defaults (see _given).
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
+        super().__init__(*args, allow_abbrev=False, argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -48,24 +41,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-classes", type=int, default=4)
-    p.add_argument("--images-per-class", type=int, default=200)
-    p.add_argument("--image-size", type=int, default=32)
-    p.add_argument("--cue-size", type=int, default=6)
-    p.add_argument("--clutter", type=int, default=5)
-    p.add_argument("--occlusion-prob", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-classes", type=int)
+    p.add_argument("--images-per-class", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train one model")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--variant", choices=["baseline", "masked"], default="masked")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--variant", choices=["baseline", "masked"])
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int)
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--record-out")
     p.set_defaults(func=_cmd_train)
@@ -91,9 +80,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--lrs", type=_numbers, default="1e-4,1e-3")
     p.add_argument("--lambdas", type=_numbers, default="0,0.01,0.1,1.0")
     p.add_argument("--seeds", type=_positive_int, default=5)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
@@ -135,35 +124,24 @@ def _levels(text: str) -> list:
     return [int(v) if v.is_integer() else v for v in _numbers(text)]
 
 
+def _given(cls, args):
+    """An instance of dataclass ``cls`` built from the flags given for its fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
+
+
 def _cmd_gen_data(args) -> int:
-    spec = SceneSpec(
-        n_classes=args.n_classes,
-        images_per_class=args.images_per_class,
-        image_size=(args.image_size, args.image_size, 3),
-        cue_size=args.cue_size,
-        clutter_count=args.clutter,
-        occlusion_prob=args.occlusion_prob,
-        seed=args.seed,
-    )
-    manifest = generate_dataset(spec, args.out)
+    manifest = generate_dataset(_given(SceneSpec, args), args.out)
     print(f"wrote {len(manifest.rows)} images to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = TrainConfig(
-        learning_rate=args.lr,
-        lam=args.lam,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=args.seed,
-        variant=args.variant,
-    )
+    config = _given(TrainConfig, args)
     manifest = load_manifest(args.manifest)
     params, record = train(config, manifest, os.path.dirname(os.path.abspath(args.manifest)))
     save_checkpoint(params, args.checkpoint_out)
-    if args.record_out:
+    if "record_out" in args:
         write_train_record(record, args.record_out)
     print(
         f"stopped at epoch {record.stopping_epoch} (best {record.best_epoch}), "
@@ -198,17 +176,12 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_sweep(args) -> int:
     manifest = load_manifest(args.manifest)
-    template = TrainConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-    )
     rows = sensitivity_sweep(
         args.lrs,
         args.lambdas,
         manifest,
         os.path.dirname(os.path.abspath(args.manifest)),
-        template=template,
+        template=_given(TrainConfig, args),
         n_seeds=args.seeds,
     )
     write_csv(rows, ["lr", "lambda", "seed", "test_accuracy"], args.out)

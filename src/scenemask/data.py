@@ -19,7 +19,7 @@ import csv
 import functools
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -52,22 +52,17 @@ _OCCLUDER_OVERLAP = 2  # corner pixels of the cue an occluder may cover
 class SceneSpec:
     n_classes: int = 4
     images_per_class: int = 200
-    image_size: tuple = (32, 32, 3)
-    cue_size: int = 6
-    clutter_count: int = 5
-    occlusion_prob: float = 0.3
     seed: int = 0
 
+    # the scene geometry is the same for every dataset
+    image_size: ClassVar[tuple] = (32, 32, 3)
+    cue_size: ClassVar[int] = 6
+    clutter_count: ClassVar[int] = 5
+    occlusion_prob: ClassVar[float] = 0.3
+
     def __post_init__(self):
-        h, w, c = self.image_size
-        if c != 3:
-            raise ConfigError("only 3-channel images are generated")
-        if not (0 < self.cue_size < min(h, w)):
-            raise ConfigError(f"cue_size {self.cue_size} must fit inside {h}x{w}")
         if self.n_classes < 2 or self.images_per_class < 1:
             raise ConfigError("need at least 2 classes and 1 image per class")
-        if not 0.0 <= self.occlusion_prob <= 1.0:
-            raise ConfigError(f"occlusion_prob {self.occlusion_prob} outside [0, 1]")
 
     @property
     def n_images(self) -> int:
@@ -142,15 +137,16 @@ def _blend_toward_gray(color: tuple, factor: float) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _patches(n_classes: int, cue_size: int) -> tuple:
+def _patches(n_classes: int) -> tuple:
     """Read-only (cue patch per label, distractor pool), rendered once per
-    (n_classes, cue_size) rather than once per image.
+    class count rather than once per image.
 
     A cue is a solid color block: the pooled color signal is what identifies
     the class.  The pool holds the patches available to every class:
     washed-out class colors with shifted patterns, plus two neutral fillers.
     The color overlap with the cues makes them weak evidence for the wrong
     class."""
+    cue_size = SceneSpec.cue_size
     cues = [_render_patch(class_color(i), 4, cue_size) for i in range(n_classes)]
     pool = [
         _render_patch(_blend_toward_gray(class_color(i), _DISTRACTOR_BLEND), (i + 2) % 4, cue_size)
@@ -183,11 +179,8 @@ def _boxes_intersect(r0, c0, r1, c1, size) -> bool:
 def _image_layout(spec: SceneSpec, rng: SplitMix64) -> ImageLayout:
     h, w, _ = spec.image_size
     cs = spec.cue_size
-    center_r, center_c = (h - cs) // 2, (w - cs) // 2
-    jr = min(_CUE_JITTER, center_r)
-    jc = min(_CUE_JITTER, center_c)
-    cue_row = center_r - jr + rng.below(2 * jr + 1)
-    cue_col = center_c - jc + rng.below(2 * jc + 1)
+    cue_row = (h - cs) // 2 - _CUE_JITTER + rng.below(2 * _CUE_JITTER + 1)
+    cue_col = (w - cs) // 2 - _CUE_JITTER + rng.below(2 * _CUE_JITTER + 1)
 
     occluded = rng.uniform() < spec.occlusion_prob
     pool_size = spec.n_classes + 2
@@ -196,8 +189,8 @@ def _image_layout(spec: SceneSpec, rng: SplitMix64) -> ImageLayout:
     n_periphery = spec.clutter_count - (1 if occluded else 0)
     for _ in range(n_periphery):
         proto = rng.below(pool_size)
-        # rejection-sample a spot clear of the (inflated) cue box; crowded
-        # specs may skip a distractor rather than loop forever
+        # rejection-sample a spot clear of the (inflated) cue box; about a
+        # third of the spots collide, and the bound keeps the loop finite
         for _attempt in range(64):
             r = rng.below(h - cs + 1)
             c = rng.below(w - cs + 1)
@@ -217,12 +210,10 @@ def _image_layout(spec: SceneSpec, rng: SplitMix64) -> ImageLayout:
 
 
 def _paint(canvas: np.ndarray, patch: np.ndarray, row: int, col: int) -> None:
-    h, w = canvas.shape[:2]
+    # no patch crosses the canvas edge: distractors are drawn in range, and an
+    # occluder sits cue_size - _OCCLUDER_OVERLAP pixels off a near-central cue
     size = patch.shape[0]
-    r0, c0 = max(row, 0), max(col, 0)
-    r1, c1 = min(row + size, h), min(col + size, w)
-    if r0 < r1 and c0 < c1:
-        canvas[r0:r1, c0:c1] = patch[r0 - row : r1 - row, c0 - col : c1 - col]
+    canvas[row : row + size, col : col + size] = patch
 
 
 def render_image(spec: SceneSpec, label: int, index: int):
@@ -239,7 +230,7 @@ def render_image(spec: SceneSpec, label: int, index: int):
     canvas = np.clip(128.0 + texture.reshape(h, w), 0, 255).astype(np.uint8)
     canvas = np.repeat(canvas[:, :, None], 3, axis=2)
 
-    cues, pool = _patches(spec.n_classes, spec.cue_size)
+    cues, pool = _patches(spec.n_classes)
     for proto, r, c in layout.distractors:
         _paint(canvas, pool[proto], r, c)
     _paint(canvas, cues[label], layout.cue_row, layout.cue_col)
@@ -354,6 +345,8 @@ def load_manifest(path) -> DatasetManifest:
                     label = int(rec[1])
                 except ValueError:
                     raise ConfigError(f"{where}: label {rec[1]!r} is not an integer") from None
+                if label < 0:
+                    raise ConfigError(f"{where}: label {label} is negative")
                 if rec[2] not in _SPLITS:
                     raise ConfigError(
                         f"{where}: unknown split {rec[2]!r}, expected one of {_SPLITS}"
@@ -361,6 +354,9 @@ def load_manifest(path) -> DatasetManifest:
                 rows.append(ManifestRow(rec[0], label, rec[2]))
     except (UnicodeDecodeError, csv.Error) as e:
         raise ConfigError(f"{path} is not a readable CSV manifest: {e}") from None
+    top = max((r.label for r in rows), default=-1)
+    if top >= len(rows):  # a manifest cannot name more classes than it has images
+        raise ConfigError(f"{path}: label {top} is not below the row count {len(rows)}")
     return DatasetManifest(rows)
 
 

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import (
-    DatasetManifest,
-    add_gaussian_noise,
-    add_salt_pepper_noise,
-    load_split_pixels,
-    write_csv,  # re-exported: sweep results are written with it
-)
+from .data import DatasetManifest, add_gaussian_noise, add_salt_pepper_noise, load_split_pixels
 from .errors import ConfigError
 from .masking import mask_from_logits
 from .model import ModelParams, forward

@@ -15,8 +15,10 @@ input runs the same code as a batch of one.
 
 All values are 64-bit floats stored row-major (C-contiguous numpy arrays),
 which keeps finite-difference gradient checks tight and checkpoints
-bit-exact.  Reductions use fixed single-threaded orderings (``np.einsum``
-with the default non-optimized path) so repeated runs are bitwise identical.
+bit-exact.  ``conv2d`` and ``linear`` reduce through ``@`` (BLAS GEMM), so
+runs repeat bitwise on one machine with a fixed numpy/BLAS build and thread
+count; equal results at other thread counts were seen at 1 and 2 OpenBLAS
+threads at this package's shapes, and are not promised.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 import csv
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from scenemask import (
     EncoderConfig,
+    SceneSpec,
     SplitMix64,
     Tensor,
     TrainConfig,
@@ -21,8 +23,9 @@ from scenemask import (
 )
 from scenemask import errors
 from scenemask.cli import _build_parser, cli
+from scenemask.data import write_csv
 from scenemask.errors import ConfigError
-from scenemask.explain import RunReport, write_csv
+from scenemask.explain import RunReport
 from scenemask.model import forward
 from scenemask.tensor import backward, mul, tsum
 from scenemask.train import evaluate
@@ -308,6 +311,11 @@ _READ_BY = {
     "--lambda": {"train"},
     "--lr": {"train"},
     "--noise-as-stddev": set(),
+    # scene geometry is fixed: SceneSpec's class constants
+    "--image-size": set(),
+    "--cue-size": set(),
+    "--clutter": set(),
+    "--occlusion-prob": set(),
 }
 _READ = [(cmd, flag) for flag, readers in _READ_BY.items() for cmd in _REQUIRED if cmd in readers]
 _UNREAD = [(cmd, flag) for flag, readers in _READ_BY.items() for cmd in _REQUIRED if cmd not in readers]
@@ -509,6 +517,16 @@ class TestCli:
         assert err.startswith("error: ") and "line 3" in err and message in err
         assert "Traceback" not in err
 
+    def test_label_beyond_row_count_is_runtime_error(self, tmp_path, capsys):
+        manifest = tmp_path / "huge.csv"
+        manifest.write_text(f"path,label,split\nimg_c0_0000.ppm,{10**15},train\n")
+        out = tmp_path / "never.ckpt"
+        code = cli(["train", "--manifest", str(manifest), "--checkpoint-out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "huge.csv" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_utf8_manifest_is_runtime_error(self, tmp_path, trained, capsys):
         manifest = tmp_path / "bad.csv"
         manifest.write_bytes(b"path,label,split\nimg_\xff.ppm,0,test\n")
@@ -553,7 +571,49 @@ class TestCli:
     @pytest.mark.parametrize("command, flag", _READ, ids=[f"{c} {f}" for c, f in _READ])
     def test_read_flag_parses(self, command, flag):
         args = _build_parser().parse_args([command, *_REQUIRED[command], flag, "5"])
-        assert vars(args)[{"--lambda": "lam"}.get(flag, flag[2:])] == 5
+        assert vars(args)[{"--lambda": "lam", "--lr": "learning_rate"}.get(flag, flag[2:])] == 5
+
+    def test_settings_reach_their_dataclass(self, monkeypatch):
+        given = {}
+
+        def capture(name, result):
+            def record(*args, **kwargs):
+                given[name] = (args, kwargs)
+                return result
+
+            monkeypatch.setattr(f"scenemask.cli.{name}", record)
+
+        capture("generate_dataset", SimpleNamespace(rows=[]))
+        capture("train", (None, SimpleNamespace(stopping_epoch=1, best_epoch=1, val_acc=[1.0])))
+        capture("sensitivity_sweep", [])
+        monkeypatch.setattr("scenemask.cli.load_manifest", lambda path: None)
+        monkeypatch.setattr("scenemask.cli.save_checkpoint", lambda params, path: None)
+        monkeypatch.setattr("scenemask.cli.write_csv", lambda rows, header, path: None)
+
+        def run(command, *flags):
+            assert cli([command, *_REQUIRED[command], *flags]) == 0
+
+        run("gen-data")
+        assert given["generate_dataset"][0][0] == SceneSpec()
+        run("train")
+        assert given["train"][0][0] == TrainConfig()
+        run("sweep")
+        assert given["sensitivity_sweep"][1]["template"] == TrainConfig()
+
+        run("gen-data", "--n-classes", "3", "--images-per-class", "7", "--seed", "9")
+        assert given["generate_dataset"][0][0] == SceneSpec(n_classes=3, images_per_class=7, seed=9)
+        run(
+            "train",
+            *["--variant", "baseline", "--lambda", "0.5", "--lr", "0.01", "--seed", "4"],
+            *["--batch-size", "8", "--max-epochs", "6", "--patience", "2"],
+        )
+        assert given["train"][0][0] == TrainConfig(
+            learning_rate=0.01, lam=0.5, batch_size=8, max_epochs=6, patience=2, seed=4, variant="baseline"
+        )
+        run("sweep", "--batch-size", "8", "--max-epochs", "6", "--patience", "2")
+        assert given["sensitivity_sweep"][1]["template"] == TrainConfig(
+            batch_size=8, max_epochs=6, patience=2
+        )
 
     @pytest.mark.parametrize(
         "error, builtin",
