@@ -11,6 +11,8 @@ import tempfile
 import numpy as np
 
 from scenemask import (
+    GAUSSIAN_LEVELS,
+    SALT_PEPPER_LEVELS,
     SceneSpec,
     TrainConfig,
     add_gaussian_noise,
@@ -21,6 +23,7 @@ from scenemask import (
     train,
 )
 from scenemask.data import write_csv
+from scenemask.explain import ROBUSTNESS_COLUMNS
 
 workdir = tempfile.mkdtemp(prefix="scenemask_noise_")
 spec = SceneSpec(seed=0)
@@ -42,11 +45,10 @@ for variant, lam in (("masked", 0.1), ("baseline", 0.0)):
     save_checkpoint(params, path)
     checkpoints.append(path)
 
-for kind, levels in (("gaussian", [0, 5, 10, 15, 20, 25]),
-                     ("salt_pepper", [0.0, 0.001, 0.002, 0.003, 0.004, 0.005])):
+for kind, levels in (("gaussian", GAUSSIAN_LEVELS), ("salt_pepper", SALT_PEPPER_LEVELS)):
     rows = robustness_sweep(checkpoints, kind, levels, manifest, workdir, n_seeds=5, base_seed=0)
     out = os.path.join(workdir, f"robustness_{kind}.csv")
-    write_csv(rows, ["model", "variant", "noise_kind", "level", "seed", "accuracy"], out)
+    write_csv(rows, ROBUSTNESS_COLUMNS, out)
 
     by_level = {}
     for _, variant, _, level, _, accuracy in rows:

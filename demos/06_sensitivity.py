@@ -12,6 +12,7 @@ import numpy as np
 
 from scenemask import SceneSpec, TrainConfig, generate_dataset, sensitivity_sweep
 from scenemask.data import write_csv
+from scenemask.explain import SENSITIVITY_COLUMNS
 
 workdir = tempfile.mkdtemp(prefix="scenemask_sweep_")
 spec = SceneSpec(seed=0)
@@ -23,7 +24,7 @@ template = TrainConfig()
 rows = sensitivity_sweep(lrs, lams, manifest, workdir, template=template, n_seeds=1)
 
 out = os.path.join(workdir, "sensitivity.csv")
-write_csv(rows, ["lr", "lambda", "seed", "test_accuracy"], out)
+write_csv(rows, SENSITIVITY_COLUMNS, out)
 print("wrote", out, "\n")
 
 print(f"{'lr':>8} {'lambda':>8} {'mean acc':>9} {'per-seed':>20}")

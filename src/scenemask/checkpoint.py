@@ -82,18 +82,17 @@ def load_checkpoint(path) -> ModelParams:
     if blocks == 0:
         raise CheckpointError('missing tensor "conv0.kernels"')
 
-    expected = set()
-    for i in range(blocks):
-        expected.update({f"conv{i}.kernels", f"conv{i}.bias"})
-    expected.update({"head.weights", "head.bias"})
+    expected = {f"conv{i}.{part}" for i in range(blocks) for part in ("kernels", "bias")}
+    expected |= {"head.weights", "head.bias"}
     if has_mask:
         expected.add("mask.logits")
-    for name in tensors:
-        if name not in expected:
-            raise CheckpointError(f'unknown tensor name "{name}"')
-    for name in expected:
-        if name not in tensors:
-            raise CheckpointError(f'missing tensor "{name}"')
+    # the smallest name first, so the message does not follow set order
+    unknown = sorted(tensors.keys() - expected)
+    if unknown:
+        raise CheckpointError(f'unknown tensor name "{unknown[0]}"')
+    missing = sorted(expected - tensors.keys())
+    if missing:
+        raise CheckpointError(f'missing tensor "{missing[0]}"')
 
     kernels, biases = [], []
     for i in range(blocks):

@@ -15,7 +15,14 @@ import sys
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SceneSpec, generate_dataset, load_manifest, write_csv
 from .errors import ScenemaskError
-from .explain import grad_cam, mask_report, robustness_sweep, sensitivity_sweep
+from .explain import (
+    ROBUSTNESS_COLUMNS,
+    SENSITIVITY_COLUMNS,
+    grad_cam,
+    mask_report,
+    robustness_sweep,
+    sensitivity_sweep,
+)
 from .netpbm import read_image, write_pgm
 from .train import TrainConfig, evaluate, train, write_train_record
 
@@ -130,6 +137,11 @@ def _given(cls, args):
     return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
+def _dataset(args):
+    """The manifest ``--manifest`` names, and the directory its image paths start from."""
+    return load_manifest(args.manifest), os.path.dirname(os.path.abspath(args.manifest))
+
+
 def _cmd_gen_data(args) -> int:
     manifest = generate_dataset(_given(SceneSpec, args), args.out)
     print(f"wrote {len(manifest.rows)} images to {args.out}")
@@ -138,8 +150,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _given(TrainConfig, args)
-    manifest = load_manifest(args.manifest)
-    params, record = train(config, manifest, os.path.dirname(os.path.abspath(args.manifest)))
+    params, record = train(config, *_dataset(args))
     save_checkpoint(params, args.checkpoint_out)
     if "record_out" in args:
         write_train_record(record, args.record_out)
@@ -152,39 +163,31 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest)
-    accuracy, _ = evaluate(params, manifest, args.split, os.path.dirname(os.path.abspath(args.manifest)))
+    manifest, root = _dataset(args)
+    accuracy, _ = evaluate(params, manifest, args.split, root)
     print(accuracy)
     return 0
 
 
 def _cmd_robustness(args) -> int:
-    manifest = load_manifest(args.manifest)
     rows = robustness_sweep(
         args.checkpoints,
         args.kind,
         args.levels,
-        manifest,
-        os.path.dirname(os.path.abspath(args.manifest)),
+        *_dataset(args),
         n_seeds=args.noise_seeds,
         base_seed=args.seed,
     )
-    write_csv(rows, ["model", "variant", "noise_kind", "level", "seed", "accuracy"], args.out)
+    write_csv(rows, ROBUSTNESS_COLUMNS, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    manifest = load_manifest(args.manifest)
     rows = sensitivity_sweep(
-        args.lrs,
-        args.lambdas,
-        manifest,
-        os.path.dirname(os.path.abspath(args.manifest)),
-        template=_given(TrainConfig, args),
-        n_seeds=args.seeds,
+        args.lrs, args.lambdas, *_dataset(args), template=_given(TrainConfig, args), n_seeds=args.seeds
     )
-    write_csv(rows, ["lr", "lambda", "seed", "test_accuracy"], args.out)
+    write_csv(rows, SENSITIVITY_COLUMNS, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

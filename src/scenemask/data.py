@@ -30,6 +30,7 @@ from .rng import SplitMix64, derive_seed
 _TAG_IMAGE = 1
 _TAG_SPLIT = 2
 
+_MANIFEST_HEADER = ["path", "label", "split"]
 _SPLIT_FRACTIONS = (("train", 0.6), ("val", 0.2), ("test", 0.2))
 _SPLITS = tuple(name for name, _ in _SPLIT_FRACTIONS)
 
@@ -176,7 +177,10 @@ def _boxes_intersect(r0, c0, r1, c1, size) -> bool:
     return abs(r0 - r1) < size and abs(c0 - c1) < size
 
 
-def _image_layout(spec: SceneSpec, rng: SplitMix64) -> ImageLayout:
+def _image_layout(spec: SceneSpec, label: int, index: int) -> tuple:
+    """Layout of image ``index`` of class ``label``, and that image's stream after
+    the layout draws."""
+    rng = SplitMix64(derive_seed(spec.seed, _TAG_IMAGE, label * spec.images_per_class + index))
     h, w, _ = spec.image_size
     cs = spec.cue_size
     cue_row = (h - cs) // 2 - _CUE_JITTER + rng.below(2 * _CUE_JITTER + 1)
@@ -206,7 +210,7 @@ def _image_layout(spec: SceneSpec, rng: SplitMix64) -> ImageLayout:
         dr = -shift if corner < 2 else shift
         dc = -shift if corner % 2 == 0 else shift
         occluder = (proto, cue_row + dr, cue_col + dc)
-    return ImageLayout(cue_row, cue_col, distractors, occluder)
+    return ImageLayout(cue_row, cue_col, distractors, occluder), rng
 
 
 def _paint(canvas: np.ndarray, patch: np.ndarray, row: int, col: int) -> None:
@@ -222,8 +226,7 @@ def render_image(spec: SceneSpec, label: int, index: int):
     The layout draws come first on the per-image stream, so geometry can be
     replayed without rendering (see :func:`image_layout`).
     """
-    rng = SplitMix64(derive_seed(spec.seed, _TAG_IMAGE, label * spec.images_per_class + index))
-    layout = _image_layout(spec, rng)
+    layout, rng = _image_layout(spec, label, index)
 
     h, w, _ = spec.image_size
     texture = np.floor(rng.uniforms(h * w) * (2 * _TEXTURE_AMPLITUDE + 1)) - _TEXTURE_AMPLITUDE
@@ -242,8 +245,7 @@ def render_image(spec: SceneSpec, label: int, index: int):
 
 def image_layout(spec: SceneSpec, label: int, index: int) -> ImageLayout:
     """Replay only the geometry of a generated image (cheap, no rendering)."""
-    rng = SplitMix64(derive_seed(spec.seed, _TAG_IMAGE, label * spec.images_per_class + index))
-    return _image_layout(spec, rng)
+    return _image_layout(spec, label, index)[0]
 
 
 def image_filename(label: int, index: int) -> str:
@@ -324,7 +326,7 @@ def write_csv(rows, header: list, path) -> None:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    write_csv(([r.path, r.label, r.split] for r in manifest.rows), ["path", "label", "split"], path)
+    write_csv(([r.path, r.label, r.split] for r in manifest.rows), _MANIFEST_HEADER, path)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -333,7 +335,7 @@ def load_manifest(path) -> DatasetManifest:
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
-            if header != ["path", "label", "split"]:
+            if header != _MANIFEST_HEADER:
                 raise ConfigError(f"bad manifest header {header}")
             for rec in reader:
                 where = f"{path} line {reader.line_num}"

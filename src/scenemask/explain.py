@@ -30,6 +30,10 @@ SUPPRESSED_THRESHOLD = 0.05
 _NOISE_FNS = {"gaussian": add_gaussian_noise, "salt_pepper": add_salt_pepper_noise}
 _NOISE_TAGS = {"gaussian": 11, "salt_pepper": 12}
 
+# the CSV columns of robustness_sweep's and sensitivity_sweep's rows
+ROBUSTNESS_COLUMNS = ["model", "variant", "noise_kind", "level", "seed", "accuracy"]
+SENSITIVITY_COLUMNS = ["lr", "lambda", "seed", "test_accuracy"]
+
 
 @dataclass
 class Heatmap:
@@ -99,7 +103,9 @@ def robustness_sweep(
 
     Every (level, seed) pair corrupts the same test images for all models via
     a seed derived from (base_seed, kind, level index, seed, image index).
-    Returns rows [model, variant, noise_kind, level, seed, accuracy].
+    Returns rows under ROBUSTNESS_COLUMNS, all of the first model's rows, then
+    the next model's.  ``model`` is the checkpoint's file name without its
+    extension, which two checkpoints may share; the row's position tells them apart.
     """
     if kind not in _NOISE_FNS:
         raise ConfigError(f"unknown noise kind '{kind}'")
@@ -107,14 +113,10 @@ def robustness_sweep(
         raise ConfigError(f"levels and n_seeds must be nonempty, got {levels} and {n_seeds}")
     noise_fn = _NOISE_FNS[kind]
     tag = _NOISE_TAGS[kind]
-    models = []
-    for path in checkpoint_paths:
-        name = os.path.splitext(os.path.basename(path))[0]
-        params = load_checkpoint(path)
-        models.append((name, params))
+    models = [(os.path.splitext(os.path.basename(p))[0], load_checkpoint(p)) for p in checkpoint_paths]
     test_pixels, test_labels = load_split_pixels(manifest, images_root, "test")
 
-    results = {}
+    per_model = [[] for _ in models]
     for li, level in enumerate(levels):
         for seed in range(n_seeds):
             corrupted = np.stack(
@@ -123,16 +125,10 @@ def robustness_sweep(
                     for i, px in enumerate(test_pixels)
                 ]
             )
-            for name, params in models:
+            for (name, params), rows in zip(models, per_model):
                 accuracy, _ = evaluate_pixels(params, corrupted, test_labels)
-                results[(name, li, seed)] = accuracy
-
-    rows = []
-    for name, params in models:
-        for li, level in enumerate(levels):
-            for seed in range(n_seeds):
-                rows.append([name, params.variant, kind, level, seed, results[(name, li, seed)]])
-    return rows
+                rows.append([name, params.variant, kind, level, seed, accuracy])
+    return [row for rows in per_model for row in rows]
 
 
 def sensitivity_sweep(
@@ -146,7 +142,7 @@ def sensitivity_sweep(
 ) -> list:
     """Train one masked model per (learning rate, lam, seed) grid cell.
 
-    Returns rows [lr, lambda, seed, test_accuracy] in fixed grid order.
+    Returns rows under SENSITIVITY_COLUMNS in fixed grid order.
     """
     if not lrs or not lams or n_seeds < 1:
         raise ConfigError("sensitivity grid and seed count must be nonempty")

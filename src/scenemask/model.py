@@ -47,10 +47,6 @@ class EncoderConfig:
         blocks = len(self.block_channels)
         return (h >> blocks, w >> blocks)
 
-    @property
-    def feature_channels(self) -> int:
-        return self.block_channels[-1]
-
 
 @dataclass
 class ModelParams:
@@ -99,28 +95,22 @@ def init_model_params(config: EncoderConfig, rng: SplitMix64, masked: bool) -> M
     Draw order is fixed (conv blocks in sequence, then the head) so a seed
     fully determines every parameter.
     """
+
+    def uniform(shape: tuple, fan_in: int) -> Tensor:
+        s = math.sqrt(1.0 / fan_in)
+        return Tensor(rng.uniforms(math.prod(shape)).reshape(shape) * 2 * s - s)
+
     kernels, biases = [], []
     c_in = config.input_size[2]
     for c_out in config.block_channels:
-        s = math.sqrt(1.0 / (c_in * 9))
-        k = rng.uniforms(c_out * c_in * 9).reshape(c_out, c_in, 3, 3) * 2 * s - s
-        kernels.append(Tensor(k))
+        kernels.append(uniform((c_out, c_in, 3, 3), c_in * 9))
         biases.append(Tensor(np.zeros(c_out)))
         c_in = c_out
-    s = math.sqrt(1.0 / config.feature_channels)
-    hw = (
-        rng.uniforms(config.n_classes * config.feature_channels).reshape(
-            config.n_classes, config.feature_channels
-        )
-        * 2
-        * s
-        - s
-    )
     mask = Tensor(np.full(config.grid_shape, MASK_INIT_LOGIT)) if masked else None
     return ModelParams(
         kernels=kernels,
         biases=biases,
-        head_weights=Tensor(hw),
+        head_weights=uniform((config.n_classes, c_in), c_in),
         head_bias=Tensor(np.zeros(config.n_classes)),
         mask=mask,
     )

@@ -135,7 +135,6 @@ def train(
 
     best_val = math.inf
     best_snapshot = params.snapshot()
-    epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(len(train_labels)))
@@ -163,11 +162,8 @@ def train(
             best_val = val_loss
             best_snapshot = params.snapshot()
             record.best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
         record.stopping_epoch = epoch
-        if epochs_since_best >= config.patience:
+        if epoch - record.best_epoch >= config.patience:
             break
 
     params.restore(best_snapshot)

@@ -322,6 +322,13 @@ class TestNetpbm:
         with pytest.raises(NetpbmError, match="byte"):
             read_pixels(path)
 
+    @pytest.mark.parametrize("header", [b"P6\n0 2\n255\n", b"P6\n2 0\n255\n"], ids=["width", "height"])
+    def test_zero_dimension_rejected(self, tmp_path, header):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(header + b"\x00" * 12)
+        with pytest.raises(NetpbmError, match="bad dimensions"):
+            read_pixels(path)
+
     def test_bad_maxval(self, tmp_path):
         path = tmp_path / "max.ppm"
         path.write_bytes(b"P6\n2 2\n65535\n" + b"\x00" * 24)

@@ -1,5 +1,9 @@
 import csv
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +37,7 @@ from scenemask.train import evaluate
 from conftest import random_tensor
 
 TINY_ENCODER = EncoderConfig(input_size=(32, 32, 3), block_channels=(4, 8), n_classes=3)
+BENCH_CHECKPOINTS = Path(__file__).resolve().parent.parent / "bench" / "checkpoints"
 
 
 def tiny_train_config(**overrides):
@@ -164,6 +169,22 @@ class TestSweeps:
         assert len(rows) == 2 * 3 * 2
         assert [r[0] for r in rows[:6]] == ["masked"] * 6
         assert [r[3] for r in rows[:6]] == [0, 0, 5, 5, 10, 10]
+
+    def test_checkpoints_sharing_a_basename_keep_their_own_rows(self, tiny_dataset, tmp_path):
+        # the benchmark's trained checkpoints: the tiny ones both score chance
+        # on this split, so swapped rows would go unseen
+        _, manifest, root = tiny_dataset
+        paths = []
+        for directory, source in (("a", "masked.ckpt"), ("b", "baseline.ckpt")):
+            (tmp_path / directory).mkdir()
+            paths.append(str(shutil.copy(BENCH_CHECKPOINTS / source, tmp_path / directory / "model.ckpt")))
+
+        def sweep(paths):
+            return robustness_sweep(paths, "gaussian", [0, 5, 10], manifest, root, n_seeds=2)
+
+        alone = [sweep([path]) for path in paths]
+        assert [r[5] for r in alone[0]] != [r[5] for r in alone[1]]  # the models tell apart
+        assert sweep(paths) == alone[0] + alone[1]
 
     def test_level_zero_equals_clean_accuracy(self, checkpoints, tiny_dataset):
         _, manifest, root = tiny_dataset
@@ -463,6 +484,20 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
+    def test_missing_tensor_message_does_not_follow_hash_seed(self, workspace, tmp_path):
+        named = init_model_params(TINY_ENCODER, SplitMix64(14), masked=False).named_tensors()
+        conv0 = {name: t for name, t in named.items() if name.startswith("conv0.")}
+        path = tmp_path / "conv0.ckpt"
+        save_checkpoint(SimpleNamespace(named_tensors=lambda: conv0), path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__code__.co_filename)))
+        argv = ["eval", "--checkpoint", str(path), "--manifest", str(workspace / "data" / "manifest.csv")]
+        for hash_seed in range(8):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed))
+            done = subprocess.run(
+                [sys.executable, "-m", "scenemask.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (done.returncode, done.stderr) == (2, 'error: missing tensor "head.bias"\n'), hash_seed
+
     def test_out_of_range_class_is_runtime_error(self, workspace, trained, capsys):
         code = cli(
             [
@@ -505,8 +540,9 @@ class TestCli:
             ("foo", "expected 3 fields"),
             ("img.ppm,one,test", "label 'one' is not an integer"),
             ("img.ppm,1,holdout", "unknown split 'holdout'"),
+            ("img.ppm,-1,test", "label -1 is negative"),
         ],
-        ids=["field-count", "label", "split"],
+        ids=["field-count", "label", "split", "negative-label"],
     )
     def test_malformed_manifest_row_is_runtime_error(self, tmp_path, trained, row, message, capsys):
         manifest = tmp_path / "m.csv"
@@ -516,6 +552,14 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and "line 3" in err and message in err
         assert "Traceback" not in err
+
+    def test_repeated_manifest_path_is_runtime_error(self, tmp_path, trained, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\nimg_c0_0000.ppm,0,test\nimg_c0_0000.ppm,1,test\n")
+        code = cli(["eval", "--checkpoint", str(trained), "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: duplicate path img_c0_0000.ppm\n"
 
     def test_label_beyond_row_count_is_runtime_error(self, tmp_path, capsys):
         manifest = tmp_path / "huge.csv"
@@ -535,7 +579,11 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and "bad.csv" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan")])
+    # a rate of 1e300 is finite, but its first step makes the loss overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan"), ("--lr", "1e300")]
+    )
     def test_non_finite_rate_is_runtime_error(self, workspace, flag, value, capsys):
         out = workspace / "never.ckpt"
         manifest = str(workspace / "data" / "manifest.csv")
@@ -544,6 +592,13 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_single_class_dataset_is_runtime_error(self, tmp_path, capsys):
+        code = cli(["gen-data", "--out", str(tmp_path / "data"), "--n-classes", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: need at least 2 classes") and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize(
         "command, flag, value",

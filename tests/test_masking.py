@@ -59,6 +59,10 @@ class TestApplyMask:
         with pytest.raises(ShapeError):
             apply_mask(random_tensor((3, 4, 5), seed=9), Tensor(np.ones((5, 4))))
 
+    def test_feature_rank_validation(self):
+        with pytest.raises(ShapeError, match="features must be"):
+            apply_mask(random_tensor((4, 5), seed=9), Tensor(np.ones((4, 5))))
+
     def test_mask_adjoint_sums_over_channels(self):
         features = random_tensor((3, 2, 2), seed=10)
         mask = random_tensor((2, 2), seed=11, low=0.1, high=0.9)

@@ -27,7 +27,6 @@ class TestEncoderConfig:
     def test_default_grid(self):
         config = EncoderConfig()
         assert config.grid_shape == (8, 8)
-        assert config.feature_channels == 16
 
     def test_indivisible_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -36,6 +35,15 @@ class TestEncoderConfig:
     def test_too_small_grid_rejected(self):
         with pytest.raises(ConfigError):
             EncoderConfig(input_size=(8, 8, 3), block_channels=(4, 8, 16))
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [({"block_channels": (4, 0)}, "block_channels"), ({"n_classes": 1}, "at least 2 classes")],
+        ids=["zero-channel", "one-class"],
+    )
+    def test_bad_channels_or_classes_rejected(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            EncoderConfig(**settings)
 
 
 class TestEncode:
@@ -97,6 +105,11 @@ class TestPredict:
         image = random_tensor((3, 32, 32), seed=8, low=0.0, high=1.0)
         logits = predict_masked(params, image).data
         assert np.max(np.abs(logits - params.head_bias.data)) <= 1e-9
+
+    def test_predict_masked_needs_a_mask(self):
+        config, params = make_params(masked=False)
+        with pytest.raises(ConfigError, match="no mask"):
+            predict_masked(params, random_tensor((3, 32, 32), seed=10, low=0.0, high=1.0))
 
     def test_mask_grid_mismatch_rejected(self):
         config, params = make_params(masked=True)

@@ -53,6 +53,22 @@ class TestConv2d:
         with pytest.raises(ConfigError):
             conv2d(x, k, Tensor(np.zeros(1)), stride=1, padding=0)
 
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, b_shape, stride, padding, error, message",
+        [
+            ((3, 4), (1, 3, 3, 3), (1,), 1, 0, ShapeError, "conv2d input"),
+            ((3, 4, 4), (1, 3, 2, 2), (1,), 1, 0, ConfigError, "kernels must"),
+            ((3, 4, 4), (1, 3, 3, 3), (2,), 1, 0, ConfigError, "bias must"),
+            ((3, 4, 4), (1, 3, 3, 3), (1,), 0, 0, ConfigError, "stride must"),
+            ((3, 4, 4), (1, 3, 3, 3), (1,), 1, -1, ConfigError, "stride must"),
+        ],
+        ids=["rank", "kernel", "bias", "stride", "padding"],
+    )
+    def test_bad_arguments_rejected(self, x_shape, k_shape, b_shape, stride, padding, error, message):
+        x, k, b = (Tensor(np.zeros(shape)) for shape in (x_shape, k_shape, b_shape))
+        with pytest.raises(error, match=message):
+            conv2d(x, k, b, stride=stride, padding=padding)
+
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0), (2, 0)])
     def test_gradient_matches_finite_differences(self, stride, padding):
         x = random_tensor((2, 5, 5), seed=11)
@@ -102,6 +118,11 @@ class TestPointwiseOps:
         backward(tsum(op(x)))
         (numeric,) = central_difference(lambda: tsum(op(x)).item(), [x.data])
         assert max_relative_error(x.grad, numeric) <= 1e-4
+
+    @pytest.mark.parametrize("op", [add, mul])
+    def test_shape_mismatch_rejected(self, op):
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            op(Tensor(np.zeros(3)), Tensor(np.zeros((3, 1))))
 
 
 class TestGap:
@@ -159,6 +180,10 @@ class TestLinear:
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
+    def test_bias_mismatch(self):
+        with pytest.raises(ShapeError, match="linear bias"):
+            linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
     def test_gradients_match_finite_differences(self):
         x = random_tensor((5,), seed=44)
         w = random_tensor((3, 5), seed=45)
@@ -193,6 +218,10 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(Tensor(np.zeros(3)), 3)
 
+    def test_rank_validation(self):
+        with pytest.raises(ShapeError, match="logits must be"):
+            softmax_cross_entropy(Tensor(np.zeros((2, 2, 2))), 0)
+
     def test_stable_at_large_logits(self):
         loss = softmax_cross_entropy(Tensor(np.array([1000.0, 999.0])), 1)
         assert np.isfinite(loss.item())
@@ -224,6 +253,10 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ShapeError):
             backward(Tensor(np.zeros(3)))
+
+    def test_item_of_non_scalar_rejected(self):
+        with pytest.raises(ShapeError, match="item"):
+            Tensor(np.zeros(2)).item()
 
     def test_repeated_backward_is_bitwise_identical(self):
         x = random_tensor((4,), seed=61)

@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,7 +51,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("learning_rate", 0.0), ("learning_rate", math.nan), ("learning_rate", math.inf)]
-        + [("lam", -0.1), ("lam", math.nan), ("lam", math.inf)],
+        + [("lam", -0.1), ("lam", math.nan), ("lam", math.inf)]
+        + [("batch_size", 0), ("max_epochs", 0), ("patience", 0), ("variant", "frozen")],
     )
     def test_rate_and_lam_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -240,6 +242,12 @@ class TestEvaluate:
         assert np.array_equal(confusion, expected)
         assert accuracy == np.trace(expected) / len(labels)
 
+    def test_empty_sample_list_rejected(self):
+        params = init_model_params(TINY_ENCODER, SplitMix64(14), masked=False)
+        pixels = np.zeros((0, 32, 32, 3), dtype=np.uint8)
+        with pytest.raises(ConfigError, match="empty"):
+            evaluate_pixels(params, pixels, np.array([], dtype=np.int64))
+
     def test_label_outside_model_classes_rejected(self):
         params = init_model_params(TINY_ENCODER, SplitMix64(14), masked=False)
         pixels = np.zeros((2, 32, 32, 3), dtype=np.uint8)
@@ -339,6 +347,19 @@ class TestCheckpoint:
         rec2 = struct.pack("<I", len(bogus)) + bogus + struct.pack("<2I", 1, 2) + b"\x00" * 16
         path.write_bytes(b"MASKHEAD1" + rec + rec2)
         with pytest.raises(CheckpointError, match="foo.bar"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "tensor, shape, message",
+        [("conv0.bias", (5,), 'for "conv0"'), ("head.bias", (2,), 'for "head"')],
+        ids=["conv", "head"],
+    )
+    def test_inconsistent_shapes_rejected(self, tmp_path, tensor, shape, message):
+        params = init_model_params(TINY_ENCODER, SplitMix64(16), masked=False)
+        named = dict(params.named_tensors(), **{tensor: Tensor(np.zeros(shape))})
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(SimpleNamespace(named_tensors=lambda: named), path)
+        with pytest.raises(CheckpointError, match=f"inconsistent shapes {message}"):
             load_checkpoint(path)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
